@@ -15,8 +15,8 @@ import (
 
 	"rmarace/internal/access"
 	"rmarace/internal/apps/cfdproxy"
-	"rmarace/internal/benchkit"
 	"rmarace/internal/apps/minivite"
+	"rmarace/internal/benchkit"
 	"rmarace/internal/codes"
 	"rmarace/internal/core"
 	"rmarace/internal/detector"
@@ -332,7 +332,7 @@ func BenchmarkAblationAdjacency(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				res, err := trace.Replay(r, func(int) detector.Analyzer { return core.New() })
+				res, err := trace.ReplayStream(r, func(int) detector.Analyzer { return core.New() }, trace.ReplayOpts{})
 				if err != nil || res.Race != nil {
 					b.Fatal(err, res.Race)
 				}
@@ -350,17 +350,17 @@ func BenchmarkAblationAdjacency(b *testing.B) {
 func BenchmarkAblationStridedMerging(b *testing.B) {
 	cfg := minivite.Default(8, benchVertices()/4)
 	variants := []struct {
-		name    string
-		strided bool
+		name  string
+		store string
 	}{
-		{"plain", false},
-		{"strided", true},
+		{"plain", ""},
+		{"strided", "strided"},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			var nodes int
 			for i := 0; i < b.N; i++ {
-				res, err := minivite.RunOpts(cfg, Config{Method: OurContribution, StridedMerging: v.strided})
+				res, err := minivite.RunOpts(cfg, Config{Method: OurContribution, Store: v.store})
 				if err != nil {
 					b.Fatal(err)
 				}

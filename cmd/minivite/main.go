@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		str, err := minivite.RunOpts(cfg, rma.Config{Method: detector.OurContribution, StridedMerging: true})
+		str, err := minivite.RunOpts(cfg, rma.Config{Method: detector.OurContribution, Store: "strided"})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -147,7 +147,7 @@ func Run(cfg Config, method detector.Method) (Result, error) {
 }
 
 // RunOpts executes MiniVite under a full analysis configuration, e.g.
-// the contribution with the strided-merging extension enabled.
+// the contribution over the strided (regular-section) store.
 func RunOpts(cfg Config, rmaCfg rma.Config) (Result, error) {
 	if cfg.Ranks < 2 {
 		return Result{}, fmt.Errorf("minivite: need at least 2 ranks, got %d", cfg.Ranks)

@@ -145,12 +145,12 @@ func TestStridedMergingCollapsesAttributeAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strided, err := RunOpts(cfg, rma.Config{Method: detector.OurContribution, StridedMerging: true})
+	strided, err := RunOpts(cfg, rma.Config{Method: detector.OurContribution, Store: "strided"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strided.Race != nil {
-		t.Fatalf("strided mode raced: %v", strided.Race)
+		t.Fatalf("strided store raced: %v", strided.Race)
 	}
 	if strided.MaxNodesPerProcess*2 > plain.MaxNodesPerProcess {
 		t.Fatalf("strided merging did not compress MiniVite: %d vs %d nodes",
@@ -163,11 +163,11 @@ func TestStridedMergingCollapsesAttributeAccesses(t *testing.T) {
 func TestStridedMergingStillCatchesInjectedRace(t *testing.T) {
 	cfg := Small()
 	cfg.InjectRace = true
-	res, err := RunOpts(cfg, rma.Config{Method: detector.OurContribution, StridedMerging: true})
+	res, err := RunOpts(cfg, rma.Config{Method: detector.OurContribution, Store: "strided"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Race == nil {
-		t.Fatal("strided mode missed the injected race")
+		t.Fatal("strided store missed the injected race")
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"rmarace/internal/interval"
 	"rmarace/internal/obs"
 	"rmarace/internal/store"
-	"rmarace/internal/strided"
 )
 
 // Analyzer is the contribution's per-(process, window) analysis state.
@@ -55,11 +54,6 @@ type Analyzer struct {
 	// or remove it.
 	frontier   access.Access
 	frontierOK bool
-	// Strided-merging extension state (WithStridedMerging): finalised
-	// regular sections plus the per-stream open runs.
-	stridedOn bool
-	sections  []strided.Section
-	open      map[runKey]*runState
 	// scratch, fragScratch and delScratch are the reusable buffers of
 	// the insertion hot path (intersections, fragments, deletions); the
 	// analyzer is single-owner so reuse is safe and the steady state
@@ -195,33 +189,13 @@ func (*Analyzer) Name() string { return "our-contribution" }
 // Store returns the analyzer's storage backend.
 func (z *Analyzer) Store() store.AccessStore { return z.lazyStore() }
 
-// Access implements detector.Analyzer with Algorithm 1. In strided
-// mode (WithStridedMerging) the access is first checked against the
-// compressed regular sections and, when it continues a strided run,
-// absorbed into one instead of the store.
+// Access implements detector.Analyzer with Algorithm 1.
 func (z *Analyzer) Access(ev detector.Event) *detector.Race {
 	if ev.Filtered {
 		return nil // removed by the compile-time alias analysis
 	}
 	z.accesses++
-	if !z.stridedOn {
-		return z.insert(ev.Acc, true)
-	}
-	a := ev.Acc
-	if race := z.sectionRace(a); race != nil {
-		return race
-	}
-	if race := z.treeRace(a); race != nil {
-		return race
-	}
-	if z.tryStride(a) {
-		z.frontierOK = false
-		z.bumpMaxNodes()
-		return nil
-	}
-	race := z.insert(a, false) // already race-checked above
-	z.bumpMaxNodes()
-	return race
+	return z.insert(ev.Acc)
 }
 
 // AccessBatch implements detector.BatchAnalyzer for the batched
@@ -231,16 +205,6 @@ func (z *Analyzer) Access(ev detector.Event) *detector.Race {
 // CFD-Proxy and Code 2), the left-neighbour lookup and race scan reduce
 // to one narrow emptiness probe right of the frontier.
 func (z *Analyzer) AccessBatch(evs []detector.Event) *detector.Race {
-	if z.stridedOn {
-		// The strided paths keep their own run state; batch events feed
-		// through the scalar path unchanged.
-		for i := range evs {
-			if race := z.Access(evs[i]); race != nil {
-				return race
-			}
-		}
-		return nil
-	}
 	st := z.lazyStore()
 	for i := range evs {
 		ev := evs[i]
@@ -278,10 +242,8 @@ func (z *Analyzer) AccessBatch(evs []detector.Event) *detector.Race {
 	return nil
 }
 
-// insert runs steps (1)-(5) of Algorithm 1 for one access. raceCheck
-// false skips step (1) for accesses that were already validated (the
-// strided path and re-materialised section elements).
-func (z *Analyzer) insert(a access.Access, raceCheck bool) *detector.Race {
+// insert runs steps (1)-(5) of Algorithm 1 for one access.
+func (z *Analyzer) insert(a access.Access) *detector.Race {
 	st := z.lazyStore()
 	// One stabbing query, widened by one address on each side, yields
 	// both the intersecting accesses (for the race check and
@@ -302,11 +264,9 @@ func (z *Analyzer) insert(a access.Access, raceCheck bool) *detector.Race {
 
 	// (1) data_race_detection: the disjointness invariant guarantees
 	// every stored access overlapping a was visited.
-	if raceCheck {
-		for _, s := range inter {
-			if access.Races(s, a) {
-				return &detector.Race{Prev: s, Cur: a}
-			}
+	for _, s := range inter {
+		if access.Races(s, a) {
+			return &detector.Race{Prev: s, Cur: a}
 		}
 	}
 
@@ -392,15 +352,10 @@ func (z *Analyzer) insert(a access.Access, raceCheck bool) *detector.Race {
 }
 
 // EpochEnd implements detector.Analyzer: accesses of a completed epoch
-// cannot race with later ones, so the store (and, in strided mode, the
-// sections) are emptied.
+// cannot race with later ones, so the store is emptied.
 func (z *Analyzer) EpochEnd() {
 	z.lazyStore().Clear()
 	z.frontierOK = false
-	if z.stridedOn {
-		z.sections = z.sections[:0]
-		z.open = make(map[runKey]*runState)
-	}
 }
 
 // Flush implements detector.Analyzer. By default it is a no-op,
@@ -415,20 +370,6 @@ func (z *Analyzer) Flush(rank int) {
 	}
 	store.RemoveRank(z.lazyStore(), rank)
 	z.frontierOK = false
-	if z.stridedOn {
-		kept := z.sections[:0]
-		for _, s := range z.sections {
-			if s.Acc.Rank != rank {
-				kept = append(kept, s)
-			}
-		}
-		z.sections = kept
-		for k := range z.open {
-			if k.rank == rank {
-				delete(z.open, k)
-			}
-		}
-	}
 }
 
 // ownerRank returns the analyzer's owning rank, or -1 when unknown.
@@ -450,23 +391,8 @@ func (z *Analyzer) ownerRank() int { return z.owner - 1 }
 // whose combined label hides a still-live rank's coverage — a false
 // negative the differential fuzzer found).
 func (z *Analyzer) Release(int) {
-	owner := z.ownerRank()
-	store.RemoveRemote(z.lazyStore(), owner)
+	store.RemoveRemote(z.lazyStore(), z.ownerRank())
 	z.frontierOK = false
-	if z.stridedOn {
-		kept := z.sections[:0]
-		for _, s := range z.sections {
-			if s.Acc.Rank == owner || !s.Acc.Type.IsRMA() {
-				kept = append(kept, s)
-			}
-		}
-		z.sections = kept
-		for k := range z.open {
-			if k.rank != owner && k.tp.IsRMA() {
-				delete(z.open, k)
-			}
-		}
-	}
 }
 
 // CompleteRequest implements detector.RequestCompleter: the local
@@ -481,43 +407,14 @@ func (z *Analyzer) Release(int) {
 // rank's own (origin buffers are private memory), and a same-rank
 // local witness absorbed under an RMA fragment can never race with a
 // later same-rank access anyway (local-before-RMA is exempt by §5.2
-// and local-local pairs never race). In strided mode, affected
-// compressed sections are re-materialised into the store first so the
-// span trim sees every element.
+// and local-local pairs never race).
 func (z *Analyzer) CompleteRequest(rank int, iv interval.Interval) {
-	if z.stridedOn {
-		kept := z.sections[:0]
-		for i := range z.sections {
-			sec := z.sections[i]
-			from, to := sec.Overlap(iv)
-			if to <= from || sec.Acc.Rank != rank || !sec.Acc.Type.IsRMA() {
-				kept = append(kept, sec)
-				continue
-			}
-			for k := uint64(0); k < sec.Elements(); k++ {
-				z.insert(sec.Representative(k), false)
-			}
-		}
-		z.sections = kept
-		for key, rs := range z.open {
-			if rs.sec == nil || key.rank != rank || !key.tp.IsRMA() {
-				continue
-			}
-			if from, to := rs.sec.Overlap(iv); to > from {
-				for k := uint64(0); k < rs.sec.Elements(); k++ {
-					z.insert(rs.sec.Representative(k), false)
-				}
-				rs.sec = nil
-			}
-		}
-	}
 	store.RemoveRankSpan(z.lazyStore(), rank, iv)
 	z.frontierOK = false
 }
 
-// Nodes implements detector.Analyzer (the Table 4 metric). In strided
-// mode each regular section counts as one node.
-func (z *Analyzer) Nodes() int { return z.lazyStore().Len() + z.sectionCount() }
+// Nodes implements detector.Analyzer (the Table 4 metric).
+func (z *Analyzer) Nodes() int { return z.lazyStore().Len() }
 
 func (z *Analyzer) bumpMaxNodes() {
 	n := z.Nodes()
@@ -533,19 +430,15 @@ func (z *Analyzer) bumpMaxNodes() {
 func (z *Analyzer) MaxNodes() int { return z.maxNodes }
 
 // Compact implements detector.Compacter: it releases the analyzer's
-// retained capacity — the insertion hot path's scratch buffers, the
-// strided section buffer, and the store's own retained capacity
-// (store.Compact; the AVL free list) — without touching live analysis
-// state, so verdicts are unaffected. The bounded-memory trace replay
-// calls it at epoch boundaries; the next epoch re-grows the buffers on
-// demand.
+// retained capacity — the insertion hot path's scratch buffers and the
+// store's own retained capacity (store.Compact; the AVL free list) —
+// without touching live analysis state, so verdicts are unaffected.
+// The bounded-memory trace replay calls it at epoch boundaries; the
+// next epoch re-grows the buffers on demand.
 func (z *Analyzer) Compact() {
 	z.scratch = nil
 	z.fragScratch = nil
 	z.delScratch = nil
-	if z.stridedOn && cap(z.sections) > 0 && len(z.sections) == 0 {
-		z.sections = nil
-	}
 	store.Compact(z.lazyStore())
 }
 

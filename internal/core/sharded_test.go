@@ -162,18 +162,19 @@ func TestShardEquivalenceBatch(t *testing.T) {
 	}
 }
 
-// TestShardEquivalenceStrided runs the §6(3) regular-section extension
+// TestShardEquivalenceStrided runs the §6(3) regular-section store
 // under sharding: verdicts (including the racing pair) must match the
 // serial strided analyzer event by event. Stored representations are
 // not compared — a regular section spanning a granule boundary is
 // legitimately held as per-shard sections.
 func TestShardEquivalenceStrided(t *testing.T) {
+	newStore := func() store.AccessStore { return store.NewStrided() }
 	for _, shards := range []int{2, 4} {
 		for trial := 0; trial < 8; trial++ {
 			rng := rand.New(rand.NewSource(int64(300*shards + trial)))
 			evs := genEquivEvents(rng, 400, trial%2 == 0)
-			serial := New(WithStridedMerging())
-			sharded := NewSharded(shards, WithShardGranule(equivGranule), WithStridedMerging())
+			serial := New(WithStoreFactory(newStore))
+			sharded := NewSharded(shards, WithShardGranule(equivGranule), WithStoreFactory(newStore))
 			for i, ev := range evs {
 				r1 := serial.Access(ev)
 				r2 := sharded.Access(ev)

@@ -132,7 +132,7 @@ func TestFuzzSafeProgramsStaySilent(t *testing.T) {
 			}
 		}
 		// The strided extension must agree.
-		err, s := run(t, f.ranks, detector.OurContribution, Config{StridedMerging: true}, f.body())
+		err, s := run(t, f.ranks, detector.OurContribution, Config{Store: "strided"}, f.body())
 		if err != nil || s.Race() != nil {
 			t.Fatalf("seed %d strided: err=%v race=%v", seed, err, s.Race())
 		}

@@ -57,15 +57,12 @@ type Config struct {
 	// DisableAliasFilter feeds Filtered accesses to the tree-based
 	// analyzers too, modelling a build without the LLVM alias analysis.
 	DisableAliasFilter bool
-	// StridedMerging enables the §6(3) regular-section extension of the
-	// contribution analyzer (compressing constant-stride accesses that
-	// plain merging cannot coalesce). Only meaningful for
-	// OurContribution.
-	StridedMerging bool
 	// Store selects the storage backend the contribution analyzer runs
 	// Algorithm 1 over ("avl", "legacy", "shadow", "strided"; package
-	// internal/store). Empty means the default AVL interval tree. Only
-	// meaningful for OurContribution.
+	// internal/store). Empty means the default AVL interval tree;
+	// "strided" selects the §6(3) regular-section extension, which
+	// compresses constant-stride accesses plain merging cannot coalesce.
+	// Only meaningful for OurContribution.
 	Store string
 	// Shards splits each (rank, window) analyzer into this many
 	// granule-striped shards (power of two), each driven by its own
@@ -217,9 +214,6 @@ func (s *Session) newAnalyzer(rank int) detector.Analyzer {
 		opts := []core.Option{core.WithOwner(rank)}
 		if s.cfg.UnsafeFlushClear {
 			opts = append(opts, core.WithUnsafeFlushClear())
-		}
-		if s.cfg.StridedMerging {
-			opts = append(opts, core.WithStridedMerging())
 		}
 		if s.cfg.Store != "" {
 			// Validate the name once, then install a factory: with

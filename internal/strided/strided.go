@@ -129,7 +129,3 @@ func sameIdentity(a, b access.Access) bool {
 		a.Stack == b.Stack &&
 		a.AccumOp == b.AccumOp
 }
-
-// SameIdentity reports whether two accesses share the identity a
-// section requires (everything but the interval).
-func SameIdentity(a, b access.Access) bool { return sameIdentity(a, b) }
