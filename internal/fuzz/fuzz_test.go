@@ -169,6 +169,41 @@ func TestSeedCorpusDifferential(t *testing.T) {
 	}
 }
 
+// TestOracleCompleteSplitRegression pins the minimised reproducer of a
+// schedule-dependent oracle verdict (`rmarace fuzz -seed 1`, program
+// #2825): a waitall completion splitting one stored access made the
+// oracle overwrite the next stored access, losing the 100/106 and
+// 105/106 pairs under schedule 1001589682. The verdict set must be the
+// same seven races under every schedule.
+func TestOracleCompleteSplitRegression(t *testing.T) {
+	p := Normalize(Program{Ranks: 2, Epochs: 1, Sync: SyncLockAll, Ops: []Op{
+		strided(rmaOp(OpPut, 0, 1, 4, 3, 2), 2, 3),
+		strided(rmaOp(OpGet, 1, 0, 3, 2, 2), 3, 4),
+		rmaOp(OpRput, 1, 0, 2, 6, 1),
+		{Kind: OpWaitAll, Origin: 1},
+		rmaOp(OpPut, 1, 0, 0, 5, 2),
+		strided(rmaOp(OpRget, 0, 1, 7, 2, 2), 2, 2),
+		strided(rmaOp(OpPut, 0, 1, 7, 1, 3), 2, 3),
+	}})
+	scheds := []int64{0, 1001589682, 1340860682}
+	for _, seed := range scheds {
+		o, err := oracle.FromRecords(Render(p, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Len() != 7 {
+			t.Errorf("schedule %d: oracle found %d races, want 7: %v", seed, o.Len(), o.Keys())
+		}
+	}
+	res, err := Diff(p, scheds, Configs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range res.Divergences {
+		t.Error(d)
+	}
+}
+
 // TestRandomDifferential is the deterministic mini-fuzz that runs in
 // every plain `go test`: generated programs through the full sound
 // matrix.

@@ -105,7 +105,9 @@ func (o *Oracle) Release(owner, rank int) {
 // are untouched, and the target side of the request is not
 // synchronised at all.
 func (o *Oracle) Complete(owner, rank int, iv interval.Interval) {
-	kept := o.stored[owner][:0]
+	// A fresh slice, not an in-place filter: splitting one access around
+	// iv keeps two pieces, which would overwrite the next unvisited one.
+	kept := make([]access.Access, 0, len(o.stored[owner])+1)
 	for _, s := range o.stored[owner] {
 		if s.Rank != rank || !s.Type.IsRMA() || !s.Interval.Intersects(iv) {
 			kept = append(kept, s)

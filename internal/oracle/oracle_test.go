@@ -124,6 +124,28 @@ func TestReleaseRetiresRank(t *testing.T) {
 	}
 }
 
+// TestCompleteSplitKeepsNextAccess: completing a span inside one stored
+// access splits it in two, and the extra piece must not overwrite the
+// stored access after it.
+func TestCompleteSplitKeepsNextAccess(t *testing.T) {
+	o := New()
+	o.Access(0, acc(0, 12, access.RMAWrite, 1, 0, 1))  // split by the completion
+	o.Access(0, acc(100, 8, access.RMAWrite, 2, 0, 2)) // unvisited when the split lands
+	o.Complete(0, 1, interval.Span(4, 4))
+	o.Access(0, acc(100, 8, access.RMAWrite, 3, 0, 3))
+	if !o.Raced() {
+		t.Fatal("the access after a split completion was lost")
+	}
+	// Both remnants of the split access stay live; the completed span
+	// does not.
+	o.Access(0, acc(0, 1, access.RMAWrite, 4, 0, 4))
+	o.Access(0, acc(11, 1, access.RMAWrite, 5, 0, 5))
+	o.Access(0, acc(5, 1, access.RMAWrite, 6, 0, 6))
+	if o.Len() != 3 {
+		t.Fatalf("want 3 races (2/3, 1/4, 1/5), got %d: %v", o.Len(), o.Keys())
+	}
+}
+
 func TestOwnersAreIndependent(t *testing.T) {
 	o := New()
 	o.Access(0, acc(0, 8, access.RMAWrite, 1, 0, 1))
