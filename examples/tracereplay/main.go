@@ -54,7 +54,7 @@ func main() {
 		}
 		shared := detector.NewMustShared(r.Header.Ranks)
 		start := time.Now()
-		res, err := trace.Replay(r, func(owner int) detector.Analyzer {
+		res, err := trace.ReplayStream(r, func(owner int) detector.Analyzer {
 			switch method {
 			case detector.Baseline:
 				return detector.NewBaseline()
@@ -65,7 +65,7 @@ func main() {
 			default:
 				return core.New()
 			}
-		})
+		}, trace.ReplayOpts{})
 		elapsed := time.Since(start)
 		rf.Close()
 		if err != nil {

@@ -54,27 +54,6 @@ func Configs() []Config {
 	)
 }
 
-// recordsSource adapts an in-memory record slice to trace.Source, so a
-// rendered case replays through exactly the streaming path a recorded
-// trace file uses.
-type recordsSource struct {
-	hdr  trace.Header
-	recs []trace.Record
-	i    int
-}
-
-func (s *recordsSource) Head() trace.Header { return s.hdr }
-func (s *recordsSource) Pos() string        { return fmt.Sprintf("record %d", s.i) }
-func (s *recordsSource) BytesRead() int64   { return int64(s.i) }
-func (s *recordsSource) Read(rec *trace.Record) error {
-	if s.i >= len(s.recs) {
-		return io.EOF
-	}
-	*rec = s.recs[s.i]
-	s.i++
-	return nil
-}
-
 // Replay runs one case under one configuration and returns the
 // verdict. Schedule seed 0 (program order) keeps the evaluation
 // deterministic; the oracle cross-check test covers other schedules.
@@ -85,10 +64,7 @@ func Replay(c Case, cfg Config) (*detector.Race, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &recordsSource{
-		hdr:  trace.Header{Kind: "header", Ranks: streams, Window: "conformance"},
-		recs: fuzz.Render(p, 0),
-	}
+	src := trace.NewRecordSource(trace.Header{Ranks: streams, Window: "conformance"}, fuzz.Render(p, 0))
 	res, err := trace.ReplayStream(src, factory, trace.ReplayOpts{Batch: cfg.Batch})
 	if err != nil {
 		return nil, err

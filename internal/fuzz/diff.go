@@ -2,11 +2,9 @@ package fuzz
 
 import (
 	"fmt"
-	"sort"
 
 	"rmarace/internal/core"
 	"rmarace/internal/detector"
-	"rmarace/internal/interval"
 	"rmarace/internal/oracle"
 	"rmarace/internal/store"
 	"rmarace/internal/trace"
@@ -76,78 +74,15 @@ func newSubject(cfg Config) func(owner int) detector.Analyzer {
 }
 
 // RunSubject drives one rendered record stream through a production
-// configuration, batching access events per owner like the engine's
+// configuration with trace.ReplayStream — the loop `rmarace replay` and
+// the daemon run — batching access events per owner like the engine's
 // notification pipeline does (synchronisation records flush their
-// owner's pending batch first, exactly as every sync path flushes
-// before publishing counts). It stops at the first race, like the
+// owner's pending batch first). It stops at the first race, like the
 // production tools.
 func RunSubject(recs []trace.Record, cfg Config) (*detector.Race, error) {
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	analyzers := make(map[int]detector.Analyzer)
-	pending := make(map[int][]detector.Event)
-	get := func(owner int) detector.Analyzer {
-		a, ok := analyzers[owner]
-		if !ok {
-			a = newSubject(cfg)(owner)
-			analyzers[owner] = a
-		}
-		return a
-	}
-	flush := func(owner int) *detector.Race {
-		evs := pending[owner]
-		if len(evs) == 0 {
-			return nil
-		}
-		pending[owner] = pending[owner][:0]
-		return detector.AccessBatch(get(owner), evs)
-	}
-	for _, rec := range recs {
-		switch rec.Kind {
-		case "access":
-			ev, err := rec.Event()
-			if err != nil {
-				return nil, err
-			}
-			pending[rec.Owner] = append(pending[rec.Owner], ev)
-			if len(pending[rec.Owner]) >= batch {
-				if race := flush(rec.Owner); race != nil {
-					return race, nil
-				}
-			}
-		case "epoch_end":
-			if race := flush(rec.Owner); race != nil {
-				return race, nil
-			}
-			get(rec.Owner).EpochEnd()
-		case "release":
-			if race := flush(rec.Owner); race != nil {
-				return race, nil
-			}
-			get(rec.Owner).Release(rec.Rank)
-		case "complete":
-			if race := flush(rec.Owner); race != nil {
-				return race, nil
-			}
-			detector.CompleteRequest(get(rec.Owner), rec.Rank, interval.New(rec.Lo, rec.Hi))
-		default:
-			return nil, fmt.Errorf("fuzz: unknown record kind %q", rec.Kind)
-		}
-	}
-	// Final flush in deterministic owner order.
-	owners := make([]int, 0, len(pending))
-	for o := range pending {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	for _, o := range owners {
-		if race := flush(o); race != nil {
-			return race, nil
-		}
-	}
-	return nil, nil
+	src := trace.NewRecordSource(trace.Header{Window: "fuzz"}, recs)
+	res, err := trace.ReplayStream(src, newSubject(cfg), trace.ReplayOpts{Batch: cfg.Batch})
+	return res.Race, err
 }
 
 // Divergence is one disagreement between a production configuration

@@ -82,7 +82,7 @@ func diffTraceCodec(recs []trace.Record, ranks int) (Divergence, bool, error) {
 	if err != nil {
 		return Divergence{}, false, err
 	}
-	jres, err := trace.Replay(jr2, newA)
+	jres, err := trace.ReplayStream(jr2, newA, trace.ReplayOpts{})
 	if err != nil {
 		return Divergence{}, false, err
 	}

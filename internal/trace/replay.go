@@ -82,17 +82,6 @@ type ReplayOpts struct {
 	Log *slog.Logger
 }
 
-// Replay feeds a trace through per-owner analyzers built by
-// newAnalyzer and stops at the first race, like the on-the-fly tools.
-func Replay(r *Reader, newAnalyzer func(owner int) detector.Analyzer) (ReplayResult, error) {
-	return ReplayStream(r, newAnalyzer, ReplayOpts{})
-}
-
-// ReplayWith is Replay with observability options.
-func ReplayWith(r *Reader, newAnalyzer func(owner int) detector.Analyzer, opts ReplayOpts) (ReplayResult, error) {
-	return ReplayStream(r, newAnalyzer, opts)
-}
-
 // replayTick is the exported logical-time width of one replayed record
 // in nanoseconds: records render 1µs apart so Perfetto shows a readable
 // timeline regardless of the trace's own counters.
@@ -181,7 +170,9 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		return race
 	}
 	// finish folds one owner's high-water mark into the result and
-	// returns its event buffer to the pool.
+	// returns its event buffer to the pool. Every owner is finished
+	// exactly once: on eviction, or when the replay ends (at EOF or on a
+	// race stop) while it is still resident.
 	finish := func(st *ownerState) {
 		if n := st.a.MaxNodes(); n > res.MaxNodes {
 			res.MaxNodes = n
@@ -189,6 +180,11 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		if st.pending != nil {
 			engine.PutEventBuf(st.pending)
 			st.pending = nil
+		}
+	}
+	finishResident := func() {
+		for _, st := range owners {
+			finish(st)
 		}
 	}
 	recordPeak := func() {
@@ -200,8 +196,8 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 	lastTime := make(map[int]uint64) // per issuing rank
 	epochT0 := make(map[int]int64)   // per owner, logical span start
 	epochN := make(map[int]int64)    // per owner, completed epochs
-	var step int64         // logical clock: one tick per replayed record
-	var flushedBytes int64 // ingest bytes already credited to the recorder
+	var step int64                   // logical clock: one tick per replayed record
+	var flushedBytes int64           // ingest bytes already credited to the recorder
 	// finishIngest credits the counters' unflushed remainder and takes a
 	// final live-heap sample; it runs at EOF and on an early race stop.
 	finishIngest := func() {
@@ -235,6 +231,7 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 			race.FlightLog = st.flight.Snapshot()
 		}
 		res.Race = race
+		finishResident()
 		finishIngest()
 		return res
 	}
@@ -397,9 +394,7 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 			return stamp(o, st, race), nil
 		}
 	}
-	for _, o := range ids {
-		finish(owners[o])
-	}
+	finishResident()
 	finishIngest()
 	if logOn {
 		log.Debug("replay drained", "records", step, "events", res.Events, "epochs", res.Epochs, "evictions", res.Evictions)

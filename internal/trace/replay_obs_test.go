@@ -57,7 +57,7 @@ func TestReplayNormalisesTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap0 := newCapture()
-	res, err := ReplayWith(r, func(int) detector.Analyzer { return cap0 }, ReplayOpts{})
+	res, err := ReplayStream(r, func(int) detector.Analyzer { return cap0 }, ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRoundTripMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 	capd := newCapture()
-	if _, err := ReplayWith(r, func(int) detector.Analyzer { return capd }, ReplayOpts{}); err != nil {
+	if _, err := ReplayStream(r, func(int) detector.Analyzer { return capd }, ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	last := map[int]uint64{}
@@ -112,7 +112,7 @@ func TestPlantedRaceCarriesFlightLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReplayWith(r, func(int) detector.Analyzer { return core.New() }, ReplayOpts{FlightN: 64})
+	res, err := ReplayStream(r, func(int) detector.Analyzer { return core.New() }, ReplayOpts{FlightN: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReplaySpansExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := span.NewLogicalTracer(r.Header.Ranks, 1<<10)
-	if _, err := ReplayWith(r, func(int) detector.Analyzer { return core.New() }, ReplayOpts{Spans: tr}); err != nil {
+	if _, err := ReplayStream(r, func(int) detector.Analyzer { return core.New() }, ReplayOpts{Spans: tr}); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer

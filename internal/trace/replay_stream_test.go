@@ -30,9 +30,9 @@ func replayBuf(t *testing.T, raw []byte, opts ReplayOpts) ReplayResult {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	res, err := ReplayWith(r, newCore, opts)
+	res, err := ReplayStream(r, newCore, opts)
 	if err != nil {
-		t.Fatalf("ReplayWith: %v", err)
+		t.Fatalf("ReplayStream: %v", err)
 	}
 	return res
 }
@@ -48,7 +48,7 @@ func TestDecodeErrorCarriesPosition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	_, err = Replay(r, newCore)
+	_, err = ReplayStream(r, newCore, ReplayOpts{})
 	if err == nil {
 		t.Fatal("malformed record replayed without error")
 	}
@@ -65,7 +65,7 @@ func TestUnknownKindErrorCarriesPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Replay(r, newCore)
+	_, err = ReplayStream(r, newCore, ReplayOpts{})
 	if err == nil || !strings.Contains(err.Error(), "frobnicate") || !strings.Contains(err.Error(), "line 3") {
 		t.Fatalf("error %v does not name the unknown kind and its line", err)
 	}
@@ -140,6 +140,43 @@ func TestEvictionPreservesVerdictsAndCounts(t *testing.T) {
 		}
 		if res.Race.Cur.Lo != plantedLo {
 			t.Fatalf("wrong race under opts %+v: %+v", opts, res.Race)
+		}
+	}
+}
+
+// TestRacyReplayReportsMaxNodes: a replay that stops at a race still
+// folds every resident owner's node high-water mark into MaxNodes, not
+// only the evicted owners'.
+func TestRacyReplayReportsMaxNodes(t *testing.T) {
+	cfg := GenConfig{Ranks: 8, Events: 1000, Epochs: 1, Owners: 4, Adjacency: 0.6, SafeOnly: true, PlantRace: true, Seed: 17}
+	buf := genBuf(t, cfg)
+	for _, batch := range []int{1, 64} {
+		var built []detector.Analyzer
+		newA := func(int) detector.Analyzer {
+			a := core.New()
+			built = append(built, a)
+			return a
+		}
+		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ReplayStream(r, newA, ReplayOpts{Batch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Race == nil || res.Race.Cur.Lo != plantedLo {
+			t.Fatalf("batch %d: planted race not reported: %v", batch, res.Race)
+		}
+		want := 0
+		for _, a := range built {
+			want = max(want, a.MaxNodes())
+		}
+		if want == 0 {
+			t.Fatalf("batch %d: no owner stored anything", batch)
+		}
+		if res.MaxNodes != want {
+			t.Fatalf("batch %d: MaxNodes = %d, want the owners' maximum %d", batch, res.MaxNodes, want)
 		}
 	}
 }

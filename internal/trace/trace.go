@@ -9,7 +9,7 @@
 // Header line (kind "header") opening the stream. Package
 // internal/tracebin adds a length-prefixed varint binary format for
 // multi-million-event traces; both implement the Source interface, and
-// Replay consumes either as a bounded-memory stream.
+// ReplayStream consumes either as a bounded-memory stream.
 package trace
 
 import (
@@ -278,6 +278,44 @@ func (r *Reader) Pos() string { return fmt.Sprintf("line %d (offset %d)", r.line
 func (r *Reader) BytesRead() int64 { return r.read }
 
 var _ Source = (*Reader)(nil)
+
+// RecordSource is an in-memory Source over a record slice, so rendered
+// records (the differential fuzzer's subjects, the conformance corpus)
+// replay through exactly the streaming path a recorded trace file uses.
+// Read copies each record out, leaving the slice untouched. With no
+// input bytes to count, BytesRead reports the records consumed.
+type RecordSource struct {
+	hdr  Header
+	recs []Record
+	i    int
+}
+
+// NewRecordSource returns a Source over recs with header h.
+func NewRecordSource(h Header, recs []Record) *RecordSource {
+	h.Kind = "header"
+	return &RecordSource{hdr: h, recs: recs}
+}
+
+// Head implements Source.
+func (s *RecordSource) Head() Header { return s.hdr }
+
+// Read implements Source.
+func (s *RecordSource) Read(rec *Record) error {
+	if s.i >= len(s.recs) {
+		return io.EOF
+	}
+	*rec = s.recs[s.i]
+	s.i++
+	return nil
+}
+
+// Pos implements Source.
+func (s *RecordSource) Pos() string { return fmt.Sprintf("record %d", s.i) }
+
+// BytesRead implements Source.
+func (s *RecordSource) BytesRead() int64 { return int64(s.i) }
+
+var _ Source = (*RecordSource)(nil)
 
 // Event converts an access record back to a detector event.
 func (rec Record) Event() (detector.Event, error) {

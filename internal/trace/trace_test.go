@@ -111,7 +111,7 @@ func TestGenerateSafeReplaysClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(r, func(int) detector.Analyzer { return core.New() })
+	res, err := ReplayStream(r, func(int) detector.Analyzer { return core.New() }, ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestGenerateAdjacencyAffectsMerging(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Replay(r, func(int) detector.Analyzer { return core.New() })
+		res, err := ReplayStream(r, func(int) detector.Analyzer { return core.New() }, ReplayOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestReplayStopsAtRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Replay(r, func(int) detector.Analyzer { return core.New() })
+	res, err := ReplayStream(r, func(int) detector.Analyzer { return core.New() }, ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestReplayPerRankAnalyzers(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	res, err := Replay(r, func(int) detector.Analyzer { count++; return core.New() })
+	res, err := ReplayStream(r, func(int) detector.Analyzer { count++; return core.New() }, ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

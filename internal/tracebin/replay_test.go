@@ -54,7 +54,7 @@ func TestBinaryReplayMatchesJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			jres, err := trace.ReplayWith(jr, newA, opts)
+			jres, err := trace.ReplayStream(jr, newA, opts)
 			if err != nil {
 				t.Fatalf("cfg %d opts %d: JSON replay: %v", i, j, err)
 			}
@@ -114,7 +114,7 @@ func TestGenerateToBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jres, err := trace.Replay(jr, newA)
+	jres, err := trace.ReplayStream(jr, newA, trace.ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
