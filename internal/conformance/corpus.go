@@ -149,8 +149,12 @@ func acc(o, t, woff, lslot, n int, aop access.AccumOp) fuzz.Op {
 
 // loadP/storeP access the rank's private buffer; loadW/storeW its own
 // window memory.
-func loadP(o, slot, n int) fuzz.Op  { return fuzz.Op{Kind: fuzz.OpLoad, Origin: o, LSlot: slot, Len: n} }
-func storeP(o, slot, n int) fuzz.Op { return fuzz.Op{Kind: fuzz.OpStore, Origin: o, LSlot: slot, Len: n} }
+func loadP(o, slot, n int) fuzz.Op {
+	return fuzz.Op{Kind: fuzz.OpLoad, Origin: o, LSlot: slot, Len: n}
+}
+func storeP(o, slot, n int) fuzz.Op {
+	return fuzz.Op{Kind: fuzz.OpStore, Origin: o, LSlot: slot, Len: n}
+}
 func loadW(o, woff, n int) fuzz.Op {
 	return fuzz.Op{Kind: fuzz.OpLoad, Origin: o, OnWin: true, WOff: woff, Len: n}
 }

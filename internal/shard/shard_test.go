@@ -43,7 +43,7 @@ func TestZeroValueSingleShard(t *testing.T) {
 func TestSplitCoversExactlyAndStaysInShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 2000; trial++ {
-		shards := 1 << rng.Intn(5)   // 1..16
+		shards := 1 << rng.Intn(5)        // 1..16
 		granule := 1 << (3 + rng.Intn(6)) // 8..256
 		m := MustNew(shards, granule)
 		lo := rng.Uint64() % (1 << 20)
