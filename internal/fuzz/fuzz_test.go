@@ -204,6 +204,32 @@ func TestOracleCompleteSplitRegression(t *testing.T) {
 	}
 }
 
+// TestShadowExtendRegression pins the minimised reproducer of a shadow
+// store false negative (`rmarace fuzz -seed 1`, program #2904). The
+// thread-1 get runs under epoch 0; its second block merges into its
+// first through Algorithm 1's extend fast path, and the shadow store,
+// which never deletes by interval, dropped the extension, so the store
+// of epoch 0 missed the second block under schedule 727034498.
+func TestShadowExtendRegression(t *testing.T) {
+	get := strided(rmaOp(OpGet, 0, 2, 7, 0, 3), 2, 3)
+	get.Thread = 1
+	p := Normalize(Program{Ranks: 3, Epochs: 2, Sync: SyncLockAll, Ops: []Op{
+		local(OpStore, 2, 10, 1, true),
+		get,
+		strided(rmaOp(OpPut, 0, 2, 7, 0, 1), 2, 3),
+	}})
+	res, err := Diff(p, []int64{0, 1942979, 727034498}, Configs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Oracle.Len() == 0 {
+		t.Fatal("oracle found no race in the reproducer")
+	}
+	for _, d := range res.Divergences {
+		t.Error(d)
+	}
+}
+
 // TestRandomDifferential is the deterministic mini-fuzz that runs in
 // every plain `go test`: generated programs through the full sound
 // matrix.

@@ -126,12 +126,23 @@ func Serve(addr string, src Sources) (*Server, error) {
 	return NewServer(ln, mux), nil
 }
 
+// Connection timeouts of every Server. A client has readHeaderTimeout
+// to send its request headers, and a kept-alive connection closes after
+// idleTimeout without a request, so a silent peer cannot hold a
+// connection open forever. Neither bounds a request body or a response:
+// a trace upload or a CPU profile takes as long as it takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // NewServer serves handler on an already-bound listener until Close.
 // The run must never die because its telemetry socket did, so a
 // background serve failure is stored rather than fatal; it surfaces
 // from the next Close call.
 func NewServer(ln net.Listener, handler http.Handler) *Server {
-	s := &Server{ln: ln, srv: &http.Server{Handler: handler}, done: make(chan struct{})}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	s := &Server{ln: ln, srv: srv, done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {

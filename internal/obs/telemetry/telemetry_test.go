@@ -242,6 +242,20 @@ func TestServeErrorSurfacesOnClose(t *testing.T) {
 	}
 }
 
+// TestServerTimeouts: every server bounds how long a client may take
+// to send its request headers and how long an idle connection stays.
+func TestServerTimeouts(t *testing.T) {
+	ln := &blockingListener{addr: strAddr("timeouts:0"), closed: make(chan struct{})}
+	srv := NewServer(ln, http.NewServeMux())
+	defer srv.Close()
+	if srv.srv.ReadHeaderTimeout <= 0 || srv.srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.srv.IdleTimeout <= 0 || srv.srv.IdleTimeout != idleTimeout {
+		t.Errorf("IdleTimeout = %v, want %v", srv.srv.IdleTimeout, idleTimeout)
+	}
+}
+
 // TestURLOnCustomListener: URL must not assume *net.TCPAddr — a custom
 // listener falls back to string-splitting its Addr, and an address that
 // does not split still yields a usable prefix.

@@ -129,17 +129,18 @@ type Extender interface {
 
 // ExtendHi grows stored access a (identified by its current interval) up
 // to newHi, in place when the backend supports it, by delete+reinsert
-// otherwise. It reports whether the access was found.
+// otherwise. It reports whether the access was found. The grown access
+// is inserted even when Delete finds nothing: backends that never
+// delete by interval (shadow cells, the legacy BST) must still record
+// the range the merge extends over.
 func ExtendHi(s AccessStore, a access.Access, newHi uint64) bool {
 	if e, ok := s.(Extender); ok {
 		return e.ExtendHi(a.Interval, newHi)
 	}
-	if !s.Delete(a.Interval) {
-		return false
-	}
+	found := s.Delete(a.Interval)
 	a.Hi = newHi
 	s.Insert(a)
-	return true
+	return found
 }
 
 // ExtendLo lowers stored access a's lower bound to newLo; see ExtendHi.
@@ -147,12 +148,10 @@ func ExtendLo(s AccessStore, a access.Access, newLo uint64) bool {
 	if e, ok := s.(Extender); ok {
 		return e.ExtendLo(a.Interval, newLo)
 	}
-	if !s.Delete(a.Interval) {
-		return false
-	}
+	found := s.Delete(a.Interval)
 	a.Lo = newLo
 	s.Insert(a)
-	return true
+	return found
 }
 
 // RankRemover is the optional per-rank retirement capability backing
