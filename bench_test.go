@@ -399,21 +399,19 @@ func BenchmarkAblationUnbalanced(b *testing.B) {
 }
 
 // BenchmarkNotificationThroughput drives a CFD-Proxy-shaped stream of
-// adjacent target-side accesses through the analysis engine, unbatched
-// (one channel message per access, the pre-pipeline behaviour) versus
-// coalesced into DefaultNotifBatch-sized batches, and then — at batch
-// 64 — across shard counts, where the engine's per-shard worker pool
-// analyses the granule-striped sub-batches in parallel. Batching
-// amortises the channel, lock and condvar traffic and lets the
-// analyzer's frontier fast path elide the per-access neighbour search;
-// sharding spreads the analysis itself over cores.
+// adjacent target-side accesses through the analysis engine's serial
+// receiver, unbatched (one channel message per access, the
+// pre-pipeline behaviour) versus coalesced into DefaultNotifBatch-sized
+// batches. Batching amortises the channel, lock and condvar traffic and
+// lets the analyzer's frontier fast path elide the per-access neighbour
+// search.
 func BenchmarkNotificationThroughput(b *testing.B) {
 	stream := benchkit.AdjacentStream(1 << 14)
-	run := func(b *testing.B, batch, shards int) {
+	run := func(b *testing.B, batch int) {
 		b.ReportAllocs()
 		e := engine.New(engine.Config{
 			Ranks:       1,
-			NewAnalyzer: func(int) detector.Analyzer { return core.Build(core.WithShards(shards)) },
+			NewAnalyzer: func(int) detector.Analyzer { return core.New() },
 		})
 		e.StartReceiver(0)
 		defer e.Close()
@@ -440,10 +438,7 @@ func BenchmarkNotificationThroughput(b *testing.B) {
 		}
 	}
 	for _, batch := range []int{1, 64} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) { run(b, batch, 1) })
-	}
-	for _, shards := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("batch64/shards%d", shards), func(b *testing.B) { run(b, 64, shards) })
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) { run(b, batch) })
 	}
 }
 

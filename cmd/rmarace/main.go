@@ -116,6 +116,7 @@ stores (tree-based methods): avl (default), legacy, shadow, strided
 TRACE may be JSON Lines or the RMTB binary format; replay, convert and
         postmortem sniff the leading bytes and pick the right decoder
 -shards splits the contribution analyzer into K address-space shards
+        (a power of two, at most 64), analysed serially
 -batch coalesces up to N access events per owner into pooled batches
 -evict retires a (rank,window) analyzer after K accessless epochs
 -compact releases retained analyzer capacity at every epoch boundary
@@ -430,7 +431,7 @@ func replayCmd(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	methodName := fs.String("method", "our-contribution", "analysis method")
 	storeName := fs.String("store", "", "storage backend for the tree-based methods (avl, legacy, shadow, strided)")
-	shards := fs.Int("shards", 1, "address-space shard count for the contribution analyzer (power of two; 1 = serial)")
+	shards := fs.Int("shards", 1, "address-space shard count for the contribution analyzer (power of two, at most 64; 1 = unsharded)")
 	compare := fs.Bool("compare", false, "replay under all four methods")
 	report := fs.String("report", "", "write a structured run report (JSON) to this path")
 	telAddr := fs.String("telemetry", "", "serve live /metrics, /report, /healthz and /debug/pprof on this address during the replay")
@@ -471,7 +472,7 @@ func replayCmd(args []string) {
 	}
 }
 
-// benchCmd runs the perf suite (insert hot path, sharded notification
+// benchCmd runs the perf suite (insert hot path, notification
 // pipeline, clock memory, stack depot, Figure 10, Table 4) and writes
 // the JSON snapshot.
 func benchCmd(args []string) {
@@ -833,6 +834,11 @@ func fuzzCmd(args []string) {
 	shardList, err := intList(*shards)
 	if err != nil {
 		log.Fatalf("-shards: %v", err)
+	}
+	for _, sh := range shardList {
+		if err := serve.CheckShards(sh); err != nil {
+			log.Fatalf("-shards: %v", err)
+		}
 	}
 	batchList, err := intList(*batches)
 	if err != nil {

@@ -54,9 +54,6 @@ type Options struct {
 	// Vertices is the MiniVite input size (Table 4); 0 selects a scaled
 	// default that keeps the whole suite under a minute.
 	Vertices int
-	// Shards lists the shard counts of the notification-throughput
-	// series; nil selects {1, 2, 4, 8}.
-	Shards []int
 	// Registry, when non-nil, is attached as the instrumented run's
 	// metrics recorder instead of a private one — the hook that lets
 	// `rmarace bench -telemetry` serve the suite's live /metrics.
@@ -75,26 +72,23 @@ func Suite(opts Options) Report {
 	if opts.Vertices <= 0 {
 		opts.Vertices = 16000
 	}
-	if len(opts.Shards) == 0 {
-		opts.Shards = []int{1, 2, 4, 8}
-	}
 	var out []Result
 	out = append(out, insertResults()...)
-	out = append(out, notificationResults(opts.Shards)...)
+	out = append(out, notificationResult())
 	out = append(out, clockMemResults(256)...)
 	out = append(out, depotResults()...)
 	out = append(out, traceIngestResults(opts.Quick)...)
 	out = append(out, serveSweepResults(opts.Quick)...)
 	if opts.Quick {
 		return Report{
-			Suite:   "rmarace perf suite (quick: insert hot path, sharded pipeline, clock memory, stack depot, trace ingest, serve sweep)",
+			Suite:   "rmarace perf suite (quick: insert hot path, notification pipeline, clock memory, stack depot, trace ingest, serve sweep)",
 			Results: out,
 		}
 	}
 	out = append(out, figure10Results()...)
 	out = append(out, table4Results(opts.Vertices)...)
 	return Report{
-		Suite:   "rmarace perf suite (insert hot path, sharded pipeline, clock memory, stack depot, trace ingest, serve sweep, Figure 10, Table 4)",
+		Suite:   "rmarace perf suite (insert hot path, notification pipeline, clock memory, stack depot, trace ingest, serve sweep, Figure 10, Table 4)",
 		Results: out,
 		Runs:    runReports(opts),
 	}
@@ -172,58 +166,45 @@ func insertResults() []Result {
 	return out
 }
 
-// notificationResults measures end-to-end engine throughput (one op =
-// one analysed event) across shard counts — the tentpole's ≥2× claim is
-// shards8 versus shards1 here.
-func notificationResults(shardCounts []int) []Result {
+// notificationResult measures end-to-end engine throughput (one op =
+// one analysed event): an adjacent stream notified in batches of 64 to
+// one rank's receiver, which analyses it serially.
+func notificationResult() Result {
 	stream := AdjacentStream(1 << 14)
-	var out []Result
-	for _, shards := range shardCounts {
-		shards := shards
-		var nodes, maxShard float64
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			e := engine.New(engine.Config{
-				Ranks:       1,
-				NewAnalyzer: func(int) detector.Analyzer { return core.Build(core.WithShards(shards)) },
-			})
-			e.StartReceiver(0)
-			defer e.Close()
-			b.ResetTimer()
-			var sent int64
-			const batch = 64
-			for i := 0; i < b.N; {
-				for off := 0; off < len(stream) && i < b.N; off += batch {
-					end := off + batch
-					if end > len(stream) {
-						end = len(stream)
-					}
-					evs := append(e.GetEventBuf(), stream[off:end]...)
-					if err := e.Notify(0, evs); err != nil {
-						b.Fatal(err)
-					}
-					sent += int64(end - off)
-					i += end - off
+	var nodes float64
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		e := engine.New(engine.Config{
+			Ranks:       1,
+			NewAnalyzer: func(int) detector.Analyzer { return core.New() },
+		})
+		e.StartReceiver(0)
+		defer e.Close()
+		b.ResetTimer()
+		var sent int64
+		const batch = 64
+		for i := 0; i < b.N; {
+			for off := 0; off < len(stream) && i < b.N; off += batch {
+				end := off + batch
+				if end > len(stream) {
+					end = len(stream)
 				}
-				if err := e.WaitReceived(0, sent); err != nil {
+				evs := append(e.GetEventBuf(), stream[off:end]...)
+				if err := e.Notify(0, evs); err != nil {
 					b.Fatal(err)
 				}
-				e.EpochEnd(0)
+				sent += int64(end - off)
+				i += end - off
 			}
-			b.StopTimer()
-			e.WithAnalyzer(0, func(a detector.Analyzer) {
-				nodes = float64(a.MaxNodes())
-				if s, ok := a.(interface{ MaxShardNodes() int }); ok {
-					maxShard = float64(s.MaxShardNodes())
-				}
-			})
-		})
-		out = append(out, result(fmt.Sprintf("notification-throughput/shards%d", shards), r, map[string]float64{
-			"max_nodes":       nodes,
-			"max_shard_nodes": maxShard,
-		}))
-	}
-	return out
+			if err := e.WaitReceived(0, sent); err != nil {
+				b.Fatal(err)
+			}
+			e.EpochEnd(0)
+		}
+		b.StopTimer()
+		e.WithAnalyzer(0, func(a detector.Analyzer) { nodes = float64(a.MaxNodes()) })
+	})
+	return result("notification-throughput/batch64", r, map[string]float64{"max_nodes": nodes})
 }
 
 // clockMemWorkload drives one MUST-RMA clock workload at scale ranks:

@@ -23,10 +23,11 @@ import (
 // unsharded count (never less; the equivalence tests coalesce at the
 // boundaries before comparing).
 //
-// Sharded itself processes serially (Access/AccessBatch route pieces to
-// the owning sub-analyzer in order); the parallel win comes from the
-// engine's per-shard worker pool, which drives the sub-analyzers
-// concurrently through the Sharder capability.
+// Sharded processes serially (Access/AccessBatch route pieces to the
+// owning sub-analyzer in order), so it is a partition, not a parallel
+// path: nothing drives the shards concurrently. Only the offline replay
+// surfaces (`replay -shards`, a session's `?shards=`, the fuzz and
+// conformance matrices) build one.
 type Sharded struct {
 	m    shard.Map
 	subs []*Analyzer
@@ -64,8 +65,7 @@ func NewSharded(shards int, opts ...Option) *Sharded {
 
 // Build returns the analyzer selected by opts: a *Sharded when
 // WithShards(k > 1) is among them, a plain *Analyzer otherwise. It is
-// the constructor configuration surfaces (rma.Config.Shards, the
-// replay CLI) go through.
+// the constructor the replay surfaces go through.
 func Build(opts ...Option) detector.Analyzer {
 	probe := &Analyzer{}
 	for _, o := range opts {
@@ -76,9 +76,6 @@ func Build(opts ...Option) detector.Analyzer {
 	}
 	return New(opts...)
 }
-
-// Map returns the shard map (for tests and the engine's routing).
-func (s *Sharded) Map() shard.Map { return s.m }
 
 // Name implements detector.Analyzer.
 func (*Sharded) Name() string { return "our-contribution" }
@@ -121,8 +118,7 @@ func (s *Sharded) Access(ev detector.Event) *detector.Race {
 // AccessBatch implements detector.BatchAnalyzer: the batch is
 // partitioned by shard (preserving per-shard order) and each shard
 // processes its sub-batch through the sub-analyzer's own batch fast
-// path. Serial; the engine parallelises the same partition across its
-// worker pool.
+// path.
 func (s *Sharded) AccessBatch(evs []detector.Event) *detector.Race {
 	for i := range s.route {
 		s.route[i] = s.route[i][:0]
@@ -195,27 +191,6 @@ func (s *Sharded) MaxNodes() int {
 		n += sub.MaxNodes()
 	}
 	return n
-}
-
-// ShardMaxNodes returns each shard's node high-water mark.
-func (s *Sharded) ShardMaxNodes() []int {
-	out := make([]int, len(s.subs))
-	for i, sub := range s.subs {
-		out[i] = sub.MaxNodes()
-	}
-	return out
-}
-
-// MaxShardNodes returns the largest single-shard high-water mark — the
-// hottest shard's footprint.
-func (s *Sharded) MaxShardNodes() int {
-	m := 0
-	for _, sub := range s.subs {
-		if n := sub.MaxNodes(); n > m {
-			m = n
-		}
-	}
-	return m
 }
 
 // Compact implements detector.Compacter: every shard compacts, and the

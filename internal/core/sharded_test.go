@@ -215,7 +215,7 @@ func TestBuildSelectsSharded(t *testing.T) {
 }
 
 // TestShardedNodeAccounting pins the Table 4 aggregation: MaxNodes sums
-// the per-shard high-water marks and MaxShardNodes is their maximum.
+// the per-shard high-water marks.
 func TestShardedNodeAccounting(t *testing.T) {
 	s := NewSharded(4, WithShardGranule(equivGranule))
 	rng := rand.New(rand.NewSource(42))
@@ -224,24 +224,60 @@ func TestShardedNodeAccounting(t *testing.T) {
 			t.Fatal(r)
 		}
 	}
-	per := s.ShardMaxNodes()
-	if len(per) != 4 {
-		t.Fatalf("ShardMaxNodes has %d entries", len(per))
-	}
-	sum, max := 0, 0
-	for _, n := range per {
+	sum, used := 0, 0
+	for i := 0; i < s.NumShards(); i++ {
+		n := s.ShardAnalyzer(i).MaxNodes()
 		sum += n
-		if n > max {
-			max = n
+		if n > 0 {
+			used++
 		}
 	}
 	if s.MaxNodes() != sum {
 		t.Fatalf("MaxNodes = %d, want per-shard sum %d", s.MaxNodes(), sum)
 	}
-	if s.MaxShardNodes() != max {
-		t.Fatalf("MaxShardNodes = %d, want %d", s.MaxShardNodes(), max)
+	if used < 2 {
+		t.Fatalf("%d shards stored anything; the stream did not exercise sharding", used)
 	}
-	if max == 0 {
-		t.Fatal("no shard stored anything; the stream did not exercise sharding")
+}
+
+// TestShardedRaceProvenance checks that a sharded analyzer stamps the
+// shard holding the conflict into Race.Prov.Shard, through both the
+// scalar and the batch path: write-write races planted in granules 0
+// and 2 report shards 0 and 2.
+func TestShardedRaceProvenance(t *testing.T) {
+	const k = 4
+	for _, batch := range []bool{false, true} {
+		seen := map[int]bool{}
+		for _, g := range []int{0, 2} {
+			s := NewSharded(k, WithShardGranule(equivGranule))
+			lo := uint64(g*equivGranule + 8)
+			mk := func(rank int, tm uint64) detector.Event {
+				return detector.Event{
+					Acc: access.Access{
+						Interval: interval.Interval{Lo: lo, Hi: lo + 7},
+						Type:     access.RMAWrite,
+						Rank:     rank,
+						Debug:    access.Debug{File: "prov.c", Line: 1 + rank},
+					},
+					Time: tm, CallTime: tm,
+				}
+			}
+			var race *detector.Race
+			if batch {
+				race = s.AccessBatch([]detector.Event{mk(0, 1), mk(1, 2)})
+			} else if race = s.Access(mk(0, 1)); race == nil {
+				race = s.Access(mk(1, 2))
+			}
+			if race == nil {
+				t.Fatalf("batch=%v granule %d: planted race not reported", batch, g)
+			}
+			if race.Prov == nil || race.Prov.Shard != g%k {
+				t.Fatalf("batch=%v granule %d: provenance %+v, want shard %d", batch, g, race.Prov, g%k)
+			}
+			seen[race.Prov.Shard] = true
+		}
+		if len(seen) != 2 {
+			t.Fatalf("batch=%v: races in two shards reported shards %v", batch, seen)
+		}
 	}
 }

@@ -239,11 +239,12 @@ func CompleteRequest(a Analyzer, rank int, iv interval.Interval) {
 // Sharder is the optional sharding capability of an analyzer: the
 // address space is partitioned into NumShards contiguous interval
 // shards, each an independent Analyzer, and RouteEach splits an event
-// at shard boundaries. The analysis engine uses it to process one
-// window's notifications on a per-shard worker pool; splitting is
-// verdict-preserving because the race predicate is evaluated per
-// overlap and every overlap lies wholly inside one shard (see package
-// internal/shard).
+// at shard boundaries. Splitting is verdict-preserving because the race
+// predicate is evaluated per overlap and every overlap lies wholly
+// inside one shard (see package internal/shard). Nothing drives the
+// shards concurrently: the sharded analyzer routes serially, and the
+// capability lets a decorator recognise one (perfbench's timing
+// wrapper refuses to hide it).
 type Sharder interface {
 	Analyzer
 	// NumShards returns the shard count (≥ 1).

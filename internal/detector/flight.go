@@ -67,9 +67,8 @@ type FlightEntry struct {
 // with the events that led up to it. A nil *FlightLog is the disabled
 // recorder: every method is a no-op, so the default path costs one
 // branch per site. The log is guarded by its own mutex because the
-// engine records from the receiver, the shard router and the rank's
-// own goroutine; it is never on the allocation-free hot path unless
-// explicitly enabled.
+// engine records from the receiver and the rank's own goroutine; it is
+// never on the allocation-free hot path unless explicitly enabled.
 type FlightLog struct {
 	mu  sync.Mutex
 	seq uint64

@@ -77,15 +77,15 @@ type Config struct {
 	// StopErr reports why Stop fired. May be nil.
 	StopErr func() error
 	// Recorder receives the engine's metrics (received counts, overflow
-	// backpressure, queue depths, shard busy time). Nil means disabled;
-	// the hot path then pays one cached-bool branch per record site.
+	// backpressure, queue depths). Nil means disabled; the hot path then
+	// pays one cached-bool branch per record site.
 	Recorder obs.Recorder
 	// Window names the window this engine serves; it is stamped into
 	// the provenance of every race the engine surfaces.
 	Window string
-	// Spans receives the engine's causal spans (notification batches,
-	// shard-pool drains) when non-nil; the instrumentation layer shares
-	// the same tracer for its call-site spans so flows line up.
+	// Spans receives the engine's causal spans (notification batches)
+	// when non-nil; the instrumentation layer shares the same tracer for
+	// its call-site spans so flows line up.
 	Spans *span.Tracer
 	// FlightN, when positive, keeps a per-rank flight recorder of the
 	// last FlightN analysed accesses and synchronisations; a detected
@@ -120,15 +120,10 @@ type Engine struct {
 	// channel full and had to block (atomic). Nothing is dropped; the
 	// counter makes the backpressure visible in the stats.
 	overflows []int64
-	// sh holds the shard worker pool of each rank whose analyzer is a
-	// detector.Sharder (nil entries for serial ranks); see shardpool.go.
-	sh []*rankShards
-	// evFree and refFree are the engine's free lists for notification
-	// batch slices and split-batch completion records. Plain buffered
-	// channels: contention is two CAS-ish operations, and unlike a
-	// sync.Pool nothing is dropped on GC.
-	evFree  chan []detector.Event
-	refFree chan *batchRef
+	// evFree is the engine's free list for notification batch slices. A
+	// plain buffered channel: contention is two CAS-ish operations, and
+	// unlike a sync.Pool nothing is dropped on GC.
+	evFree chan []detector.Event
 
 	// rec is the metrics sink (never nil: obs.Disabled when the config
 	// leaves it unset); recOn caches rec.Enabled() so disabled record
@@ -170,9 +165,7 @@ func New(cfg Config) *Engine {
 		epochs:    make([]uint64, cfg.Ranks),
 		overflows: make([]int64, cfg.Ranks),
 		started:   make([]bool, cfg.Ranks),
-		sh:        make([]*rankShards, cfg.Ranks),
 		evFree:    make(chan []detector.Event, cfg.ChannelCap+eventPoolSlack),
-		refFree:   make(chan *batchRef, batchRefPoolCap),
 		closed:    make(chan struct{}),
 		rec:       obs.OrDisabled(cfg.Recorder),
 		spans:     cfg.Spans,
@@ -189,9 +182,6 @@ func New(cfg Config) *Engine {
 		e.analyzers[r] = cfg.NewAnalyzer(r)
 		e.notifCh[r] = make(chan Batch, cfg.ChannelCap)
 		e.recvCond[r] = sync.NewCond(&e.recvMu[r])
-		if top, ok := e.analyzers[r].(detector.Sharder); ok && top.NumShards() > 1 {
-			e.sh[r] = e.newRankShards(top)
-		}
 	}
 	// Wake every count-waiter when the engine stops; exit when it
 	// closes so finished runs can be collected.
@@ -219,26 +209,16 @@ func (e *Engine) StartReceiver(rank int) {
 		return
 	}
 	e.started[rank] = true
-	if rs := e.sh[rank]; rs != nil {
-		for s := range rs.ch {
-			go e.shardWorker(rank, s)
-		}
-	}
 	go e.receive(rank)
 }
 
 // receive drains rank's notification channel until the engine stops or
 // closes.
 func (e *Engine) receive(rank int) {
-	rs := e.sh[rank]
 	for {
 		select {
 		case b := <-e.notifCh[rank]:
-			if rs != nil {
-				e.processSharded(rank, rs, b)
-			} else {
-				e.process(rank, b)
-			}
+			e.process(rank, b)
 		case <-e.cfg.Stop:
 			return
 		case <-e.closed:
@@ -308,8 +288,8 @@ func (e *Engine) recordBatchSpan(rank int, start, events, epoch int64, flow uint
 }
 
 // raceFound stamps the engine's share of the race provenance — the
-// owning rank and the window name, leaving an already-stamped shard
-// alone — then counts it and hands it to the race callback.
+// owning rank and the window name — then counts it and hands it to the
+// race callback.
 func (e *Engine) raceFound(rank int, race *detector.Race) {
 	p := race.EnsureProv()
 	p.Owner = rank
@@ -466,9 +446,6 @@ func (e *Engine) WakeAll() {
 // the callback as well as the return value.
 func (e *Engine) Analyse(rank int, ev detector.Event) *detector.Race {
 	e.flight[rank].Access(ev.Acc)
-	if rs := e.sh[rank]; rs != nil {
-		return e.analyseSharded(rank, rs, ev)
-	}
 	e.anMu[rank].Lock()
 	race := e.analyzers[rank].Access(ev)
 	e.anMu[rank].Unlock()
@@ -483,13 +460,6 @@ func (e *Engine) Analyse(rank int, ev detector.Event) *detector.Race {
 // on. Callers drain first (WaitReceived).
 func (e *Engine) EpochEnd(rank int) {
 	e.flight[rank].Mark(detector.FlightEpochEnd, rank)
-	if rs := e.sh[rank]; rs != nil {
-		rs.lockAll()
-		rs.top.EpochEnd()
-		atomic.AddUint64(&e.epochs[rank], 1)
-		rs.unlockAll()
-		return
-	}
 	e.anMu[rank].Lock()
 	e.analyzers[rank].EpochEnd()
 	atomic.AddUint64(&e.epochs[rank], 1)
@@ -503,12 +473,6 @@ func (e *Engine) Epoch(rank int) uint64 { return atomic.LoadUint64(&e.epochs[ran
 // Flush observes an MPI_Win_flush by rank.
 func (e *Engine) Flush(rank int) {
 	e.flight[rank].Mark(detector.FlightFlush, rank)
-	if rs := e.sh[rank]; rs != nil {
-		rs.lockAll()
-		rs.top.Flush(rank)
-		rs.unlockAll()
-		return
-	}
 	e.anMu[rank].Lock()
 	e.analyzers[rank].Flush(rank)
 	e.anMu[rank].Unlock()
@@ -517,12 +481,6 @@ func (e *Engine) Flush(rank int) {
 // WithAnalyzer runs fn with rank's analyzer under the serialisation
 // lock, for statistics snapshots.
 func (e *Engine) WithAnalyzer(rank int, fn func(detector.Analyzer)) {
-	if rs := e.sh[rank]; rs != nil {
-		rs.lockAll()
-		fn(rs.top)
-		rs.unlockAll()
-		return
-	}
 	e.anMu[rank].Lock()
 	fn(e.analyzers[rank])
 	e.anMu[rank].Unlock()
@@ -548,3 +506,73 @@ func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.closed) })
 	e.WakeAll()
 }
+
+// GetEventBuf takes a reusable event slice (length 0) from the engine's
+// pool, for callers assembling a Notify batch; the engine recycles the
+// slice after analysis. Falls back to the process-wide pool (the
+// package-level GetEventBuf), so buffers cycle between engines and the
+// streaming trace replay too.
+func (e *Engine) GetEventBuf() []detector.Event {
+	select {
+	case b := <-e.evFree:
+		return b
+	default:
+		return GetEventBuf()
+	}
+}
+
+// PutEventBuf returns an event slice to the pool. The engine calls it on
+// every analysed batch, so slices cycle between the instrumentation
+// layer's notification assembly and the analysis side without
+// reallocating in steady state. A full per-engine pool overflows into
+// the process-wide pool instead of dropping the slice to the GC.
+func (e *Engine) PutEventBuf(evs []detector.Event) {
+	if cap(evs) == 0 {
+		return
+	}
+	select {
+	case e.evFree <- evs[:0]:
+	default:
+		PutEventBuf(evs)
+	}
+}
+
+// sharedEvFree is the process-wide event-buffer free list behind the
+// package-level GetEventBuf/PutEventBuf: the same pooled batch slices
+// the engines' notification pipelines cycle, shared with callers that
+// batch events outside any engine (the streaming trace replay). A
+// buffered channel, like the per-engine pools: contention is two
+// CAS-ish operations and nothing is dropped on GC.
+var sharedEvFree = make(chan []detector.Event, 256)
+
+// GetEventBuf takes a reusable event slice (length 0) from the
+// process-wide pool; plain make when the pool is empty.
+func GetEventBuf() []detector.Event {
+	select {
+	case b := <-sharedEvFree:
+		return b
+	default:
+		return make([]detector.Event, 0, defaultEventBufCap)
+	}
+}
+
+// PutEventBuf returns an event slice to the process-wide pool.
+func PutEventBuf(evs []detector.Event) {
+	if cap(evs) == 0 {
+		return
+	}
+	select {
+	case sharedEvFree <- evs[:0]:
+	default: // pool full; let the GC have it
+	}
+}
+
+// defaultEventBufCap sizes fresh pool slices to hold a typical
+// notification batch without growing.
+const defaultEventBufCap = 128
+
+// eventPoolSlack pads the free-slice pool beyond the channel capacity:
+// up to ChannelCap batches sit in a rank's channel (plus the few being
+// filled or analysed), and the pool must be able to hold the whole
+// population or steady-state Gets miss and reallocate.
+const eventPoolSlack = 64

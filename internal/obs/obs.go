@@ -12,7 +12,7 @@
 // an un-instrumented run pays one predictable branch per record site.
 // A *Registry records for real; every update is a handful of atomic
 // operations on pre-grown series, so recording itself allocates only
-// when a metric sees a new label (rank, shard or target index) for the
+// when a metric sees a new label (rank, target or tenant index) for the
 // first time.
 //
 // The metric inventory is a closed enum rather than a string namespace:
@@ -51,7 +51,7 @@ func (k Kind) String() string {
 }
 
 // Metric enumerates every instrumented quantity of the pipeline. Each
-// metric carries one integer label dimension (a rank, shard or target
+// metric carries one integer label dimension (a rank, target or tenant
 // index); the label of a metric whose dimension does not apply is 0.
 type Metric uint8
 
@@ -68,14 +68,6 @@ const (
 	// EngineQueueDepth is the high-water mark of a rank's notification
 	// channel depth.
 	EngineQueueDepth
-	// ShardQueueDepth is the high-water mark of a shard worker channel's
-	// depth (labelled by shard index, aggregated over ranks).
-	ShardQueueDepth
-	// ShardBusyNanos accumulates time shard workers spent analysing
-	// sub-batches, per shard.
-	ShardBusyNanos
-	// ShardBatches counts sub-batches analysed per shard.
-	ShardBatches
 	// EpochNanos is the distribution of epoch durations per rank:
 	// passive-target LockAll..UnlockAll epochs and the PSCW access
 	// (Start..Complete) and exposure (Post..Wait) epochs.
@@ -207,9 +199,6 @@ var metricInfos = [NumMetrics]metricInfo{
 	EngineOverflows:  {"engine_overflows", KindCounter, "rank"},
 	EngineBlockNanos: {"engine_block_nanos", KindCounter, "rank"},
 	EngineQueueDepth: {"engine_queue_depth", KindHighWater, "rank"},
-	ShardQueueDepth:  {"shard_queue_depth", KindHighWater, "shard"},
-	ShardBusyNanos:   {"shard_busy_nanos", KindCounter, "shard"},
-	ShardBatches:     {"shard_batches", KindCounter, "shard"},
 	EpochNanos:       {"epoch_nanos", KindHistogram, "rank"},
 	NotifBatchLen:    {"notif_batch_len", KindHistogram, "target"},
 	LockWaitNanos:    {"lock_wait_nanos", KindHistogram, "target"},
@@ -278,8 +267,8 @@ func (m Metric) Kind() Kind {
 	return KindCounter
 }
 
-// LabelDim names the metric's label dimension ("rank", "shard",
-// "target").
+// LabelDim names the metric's label dimension ("rank", "target",
+// "tenant").
 func (m Metric) LabelDim() string {
 	if m < NumMetrics {
 		return metricInfos[m].label

@@ -31,9 +31,9 @@ func TestRegistryScalars(t *testing.T) {
 	r.Set(EngineQueueDepth, 0, 5)
 	// EngineQueueDepth is a high-water metric; Value reads max, which
 	// Set does not touch. Use a counter-kind gauge read instead.
-	r.Add(ShardBatches, 3, 2)
-	if got := r.Value(ShardBatches, 3); got != 2 {
-		t.Errorf("shard batches = %d, want 2", got)
+	r.Add(StoreInserts, 3, 2)
+	if got := r.Value(StoreInserts, 3); got != 2 {
+		t.Errorf("store inserts = %d, want 2", got)
 	}
 }
 

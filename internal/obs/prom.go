@@ -57,7 +57,7 @@ func bucketLe(low int64) int64 {
 // both the live telemetry server's /metrics endpoint and
 // `rmarace stats -format prom`, so a saved report scrapes identically
 // to a live run. Every metric is prefixed rmarace_ and labelled with
-// its dimension (rank/shard/target).
+// its dimension (rank/target/tenant).
 func WriteProm(w io.Writer, snaps []MetricSnapshot) error {
 	for _, ms := range snaps {
 		name := "rmarace_" + ms.Name

@@ -59,7 +59,7 @@ func casMax(a *atomic.Int64, v int64) {
 // series, each a copy-on-write slice of atomic slots indexed by label.
 // Updates are lock-free once a label exists; growing a series for a
 // new label takes the registry lock and allocates, which happens a
-// bounded number of times per run (labels are rank/shard/target
+// bounded number of times per run (labels are rank/target/tenant
 // indices).
 type Registry struct {
 	mu     sync.Mutex

@@ -48,9 +48,7 @@ type WindowReport struct {
 	PerRankReceived []int64 `json:"per_rank_received,omitempty"`
 	// PerRankOverflows counts notification sends per rank that found
 	// the channel full and blocked (backpressure; nothing dropped).
-	PerRankOverflows     []int64 `json:"per_rank_overflows,omitempty"`
-	PerRankShardMaxNodes [][]int `json:"per_rank_shard_max_nodes,omitempty"`
-	MaxShardNodes        int     `json:"max_shard_nodes,omitempty"`
+	PerRankOverflows []int64 `json:"per_rank_overflows,omitempty"`
 }
 
 // LatencySummary condenses one label's histogram for quick reading.
@@ -249,9 +247,6 @@ func (r *RunReport) Summary(w io.Writer) {
 		}
 		if len(win.PerRankOverflows) > 0 && sum64(win.PerRankOverflows) > 0 {
 			fmt.Fprintf(w, "    overflows per rank: %v\n", win.PerRankOverflows)
-		}
-		if win.MaxShardNodes > 0 {
-			fmt.Fprintf(w, "    hottest shard nodes: %d\n", win.MaxShardNodes)
 		}
 	}
 	for _, el := range r.EpochLatency {

@@ -38,8 +38,6 @@ func argNames(k Kind) (a, b string) {
 		return "target", "events"
 	case KindNotifBatch:
 		return "events", "epoch"
-	case KindShardDrain:
-		return "shards", ""
 	}
 	return "a", "b"
 }

@@ -1,9 +1,9 @@
 // Package span is the causal-tracing half of the observability layer:
 // lightweight spans recording what each rank of a run was doing when —
 // epochs opening and closing, one-sided operations, flushes,
-// notification batches draining through the engine, shard-pool
-// barriers — plus cross-rank causal edges linking a notification
-// batch's send site to its analysis on the target.
+// notification batches draining through the engine — plus cross-rank
+// causal edges linking a notification batch's send site to its
+// analysis on the target.
 //
 // The design follows the same discipline as the metrics registry
 // (package internal/obs): recording is off by default and call sites
@@ -58,9 +58,6 @@ const (
 	// the owner: A the batch length, B the epoch it was stamped with. It
 	// closes the batch's causal flow.
 	KindNotifBatch
-	// KindShardDrain is one shard-pool flush barrier (sync marker): A
-	// the shard count.
-	KindShardDrain
 
 	numKinds
 )
@@ -84,8 +81,6 @@ func (k Kind) String() string {
 		return "notif-send"
 	case KindNotifBatch:
 		return "notif-batch"
-	case KindShardDrain:
-		return "shard-drain"
 	}
 	return "span"
 }
@@ -123,7 +118,7 @@ type Record struct {
 const (
 	// TidApp is the rank's application goroutine (MPI calls, epochs).
 	TidApp = 0
-	// TidEngine is the rank's engine side (receiver, shard router).
+	// TidEngine is the rank's engine side (its notification receiver).
 	TidEngine = 1
 )
 

@@ -15,196 +15,70 @@ import (
 // rank is still pumping Put notifications. Nothing may panic (the
 // engine never closes a channel a sender could still be on) and the
 // world must wind down: senders observe the close as an error instead
-// of blocking forever.
+// of blocking forever. Every receiver and stop-watcher goroutine must
+// exit too.
 func TestCloseRacesInflightNotifications(t *testing.T) {
-	world := mpi.NewWorld(4)
-	// NotifBatch 1 keeps a constant stream of channel sends in flight.
-	s := NewSession(world, Config{Method: detector.Baseline, NotifBatch: 1})
+	for _, method := range []detector.Method{detector.Baseline, detector.OurContribution} {
+		before := runtime.NumGoroutine()
+		world := mpi.NewWorld(4)
+		// NotifBatch 1 keeps a constant stream of channel sends in flight.
+		s := NewSession(world, Config{Method: method, NotifBatch: 1})
 
-	done := make(chan error, 1)
-	go func() {
-		done <- world.Run(func(mp *mpi.Proc) error {
-			p := s.Proc(mp)
-			w, err := p.WinCreate("w", 4*8192)
-			if err != nil {
-				return err
-			}
-			if err := w.LockAll(); err != nil {
-				return err
-			}
-			src := p.Alloc("src", 1)
-			target := (p.Rank() + 1) % p.Size()
-			for i := 0; i < 8192; i++ {
-				// Disjoint per-origin byte streams: no races, just load.
-				off := p.Rank()*8192 + i
-				if err := w.Put(target, off, src, 0, 1, dbg(i)); err != nil {
-					return nil // the close arrived mid-stream: wind down
-				}
-			}
-			return nil
-		})
-	}()
-
-	time.Sleep(2 * time.Millisecond) // let the streams start flowing
-	s.Close()
-	s.Close() // double close must stay harmless
-
-	select {
-	case err := <-done:
-		// Ranks either finished their streams or observed the close;
-		// both are fine — only hangs and panics are failures.
-		_ = err
-	case <-time.After(10 * time.Second):
-		t.Fatal("world did not wind down after Session.Close")
-	}
-}
-
-// TestCloseRacesInflightShardedNotifications is the sharded variant of
-// the close-under-fire test: every rank's analyzer runs an 8-shard
-// worker pool, so Session.Close must also wind down the per-shard
-// workers and the flush barriers without leaking goroutines,
-// double-closing channels or hanging a blocked router.
-func TestCloseRacesInflightShardedNotifications(t *testing.T) {
-	before := runtime.NumGoroutine()
-	world := mpi.NewWorld(4)
-	s := NewSession(world, Config{Method: detector.OurContribution, Shards: 8, NotifBatch: 1})
-
-	done := make(chan error, 1)
-	go func() {
-		done <- world.Run(func(mp *mpi.Proc) error {
-			p := s.Proc(mp)
-			w, err := p.WinCreate("w", 4*8192)
-			if err != nil {
-				return err
-			}
-			if err := w.LockAll(); err != nil {
-				return err
-			}
-			src := p.Alloc("src", 1)
-			target := (p.Rank() + 1) % p.Size()
-			for i := 0; i < 8192; i++ {
-				off := p.Rank()*8192 + i
-				if err := w.Put(target, off, src, 0, 1, dbg(i)); err != nil {
-					return nil // the close arrived mid-stream: wind down
-				}
-			}
-			return nil
-		})
-	}()
-
-	time.Sleep(2 * time.Millisecond) // let the streams start flowing
-	s.Close()
-	s.Close() // double close must stay harmless
-
-	select {
-	case err := <-done:
-		_ = err
-	case <-time.After(10 * time.Second):
-		t.Fatal("world did not wind down after Session.Close (sharded)")
-	}
-	// The receiver, the stop-watcher and all 4×8 shard workers must
-	// exit; poll because the workers observe the close asynchronously.
-	deadline := time.After(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		select {
-		case <-deadline:
-			t.Fatalf("goroutines leaked after sharded close: %d before, %d after",
-				before, runtime.NumGoroutine())
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-}
-
-// TestShardedSessionEndToEnd runs a full epoch lifecycle (LockAll, Puts
-// from every rank, UnlockAll, Free) under a sharded session, checks the
-// planted race is caught, and checks the shard-aware stats surface.
-func TestShardedSessionEndToEnd(t *testing.T) {
-	// Safe run first: disjoint per-origin streams across 3 epochs.
-	err, s := run(t, 4, detector.OurContribution, Config{Shards: 4}, func(p *Proc) error {
-		w, err := p.WinCreate("w", 4*4096)
-		if err != nil {
-			return err
-		}
-		src := p.Alloc("src", 8)
-		for epoch := 0; epoch < 3; epoch++ {
-			if err := w.LockAll(); err != nil {
-				return err
-			}
-			target := (p.Rank() + 1) % p.Size()
-			for i := 0; i < 128; i++ {
-				off := p.Rank()*4096 + i*8
-				if err := w.Put(target, off, src, 0, 8, dbg(i)); err != nil {
+		done := make(chan error, 1)
+		go func() {
+			done <- world.Run(func(mp *mpi.Proc) error {
+				p := s.Proc(mp)
+				w, err := p.WinCreate("w", 4*8192)
+				if err != nil {
 					return err
 				}
-			}
-			if err := w.UnlockAll(); err != nil {
-				return err
-			}
-		}
-		return w.Free()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := s.Race(); r != nil {
-		t.Fatalf("safe sharded run reported a race: %v", r)
-	}
-	stats := s.Stats()
-	if len(stats) != 1 {
-		t.Fatalf("Stats returned %d windows", len(stats))
-	}
-	ws := stats[0]
-	if ws.PerRankShardMaxNodes == nil {
-		t.Fatal("sharded run did not surface PerRankShardMaxNodes")
-	}
-	for r, per := range ws.PerRankShardMaxNodes {
-		if len(per) != 4 {
-			t.Fatalf("rank %d has %d shard entries, want 4", r, len(per))
-		}
-		sum := 0
-		for _, n := range per {
-			sum += n
-		}
-		if sum != ws.PerRankMaxNodes[r] {
-			t.Fatalf("rank %d shard marks sum %d != PerRankMaxNodes %d", r, sum, ws.PerRankMaxNodes[r])
-		}
-	}
-	if ws.MaxShardNodes == 0 || ws.TotalMaxNodes == 0 {
-		t.Fatalf("empty node stats: %+v", ws)
-	}
+				if err := w.LockAll(); err != nil {
+					return err
+				}
+				src := p.Alloc("src", 1)
+				target := (p.Rank() + 1) % p.Size()
+				for i := 0; i < 8192; i++ {
+					// Disjoint per-origin byte streams: no races, just load.
+					off := p.Rank()*8192 + i
+					if err := w.Put(target, off, src, 0, 1, dbg(i)); err != nil {
+						return nil // the close arrived mid-stream: wind down
+					}
+				}
+				return nil
+			})
+		}()
 
-	// Racy run: rank 0's Put against rank 1's local store.
-	_, s2 := run(t, 2, detector.OurContribution, Config{Shards: 4}, func(p *Proc) error {
-		w, err := p.WinCreate("w", 64)
-		if err != nil {
-			return err
+		time.Sleep(2 * time.Millisecond) // let the streams start flowing
+		s.Close()
+		s.Close() // double close must stay harmless
+
+		select {
+		case err := <-done:
+			// Ranks either finished their streams or observed the close;
+			// both are fine — only hangs and panics are failures.
+			_ = err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: world did not wind down after Session.Close", method)
 		}
-		if err := w.LockAll(); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			src := p.Alloc("racy-src", 8)
-			if err := w.Put(1, 0, src, 0, 8, dbg(100)); err != nil {
-				return err
+		// Poll: the receivers observe the close asynchronously.
+		deadline := time.After(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			select {
+			case <-deadline:
+				t.Fatalf("%v: goroutines leaked after close: %d before, %d after",
+					method, before, runtime.NumGoroutine())
+			case <-time.After(10 * time.Millisecond):
 			}
-		} else {
-			if err := w.Buffer().Store(0, []byte{1}, dbg(101)); err != nil {
-				return err
-			}
 		}
-		return w.UnlockAll()
-	})
-	if s2.Race() == nil {
-		t.Fatal("planted race not detected under sharding")
 	}
 }
 
-// TestWinFreeInflightSharded frees a window (collective barrier +
-// notification flush) while the shard workers are mid-drain, then
+// TestWinFreeInflight frees a window (collective barrier + notification
+// flush) while batched notifications are still draining, then
 // re-creates and reuses it — the Free/recreate path must keep the
-// credit accounting consistent across the pool.
-func TestWinFreeInflightSharded(t *testing.T) {
-	err, s := run(t, 2, detector.OurContribution, Config{Shards: 8, NotifBatch: 4}, func(p *Proc) error {
+// received-count accounting consistent.
+func TestWinFreeInflight(t *testing.T) {
+	err, s := run(t, 2, detector.OurContribution, Config{NotifBatch: 4}, func(p *Proc) error {
 		for round := 0; round < 3; round++ {
 			w, err := p.WinCreate("reused", 2*4096)
 			if err != nil {

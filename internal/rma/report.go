@@ -27,14 +27,12 @@ func (s *Session) Report(source string) *obs.RunReport {
 		rep.Events += int64(ws.Accesses)
 		rep.MaxNodes += int64(ws.TotalMaxNodes)
 		rep.Windows = append(rep.Windows, obs.WindowReport{
-			Name:                 ws.Name,
-			PerRankMaxNodes:      ws.PerRankMaxNodes,
-			TotalMaxNodes:        ws.TotalMaxNodes,
-			Accesses:             ws.Accesses,
-			PerRankReceived:      ws.PerRankReceived,
-			PerRankOverflows:     ws.PerRankOverflows,
-			PerRankShardMaxNodes: ws.PerRankShardMaxNodes,
-			MaxShardNodes:        ws.MaxShardNodes,
+			Name:             ws.Name,
+			PerRankMaxNodes:  ws.PerRankMaxNodes,
+			TotalMaxNodes:    ws.TotalMaxNodes,
+			Accesses:         ws.Accesses,
+			PerRankReceived:  ws.PerRankReceived,
+			PerRankOverflows: ws.PerRankOverflows,
 		})
 	}
 	// Stats iterates the window map; fix the order for stable output.

@@ -64,13 +64,6 @@ type Config struct {
 	// compresses constant-stride accesses plain merging cannot coalesce.
 	// Only meaningful for OurContribution.
 	Store string
-	// Shards splits each (rank, window) analyzer into this many
-	// granule-striped shards (power of two), each driven by its own
-	// engine worker goroutine; see internal/shard. Zero or one keeps the
-	// serial analyzer. Verdicts are shard-count-independent (the
-	// internal/core equivalence tests). Only meaningful for
-	// OurContribution.
-	Shards int
 	// NotifBatch bounds how many consecutive target-side notifications
 	// to the same target coalesce into one channel message
 	// (DefaultNotifBatch when zero; 1 disables batching). Batches are
@@ -98,10 +91,10 @@ type Config struct {
 	// unset. Use ":0" to let the OS pick a port (Session.Telemetry).
 	TelemetryAddr string
 	// Spans enables causal span tracing (package internal/obs/span):
-	// epochs, one-sided operations, flushes, notification batches and
-	// shard drains are recorded into per-rank ring buffers and exported
-	// as Chrome trace-event JSON by Session.WriteSpans. Off by default;
-	// the disabled path costs one cached-bool branch per site.
+	// epochs, one-sided operations, flushes and notification batches are
+	// recorded into per-rank ring buffers and exported as Chrome
+	// trace-event JSON by Session.WriteSpans. Off by default; the
+	// disabled path costs one cached-bool branch per site.
 	Spans bool
 	// SpanDepth overrides the per-rank span ring depth
 	// (span.DefaultDepth when zero). Only meaningful with Spans.
@@ -216,27 +209,16 @@ func (s *Session) newAnalyzer(rank int) detector.Analyzer {
 			opts = append(opts, core.WithUnsafeFlushClear())
 		}
 		if s.cfg.Store != "" {
-			// Validate the name once, then install a factory: with
-			// sharding every shard must own an independent store instance.
-			name := s.cfg.Store
-			if _, err := store.New(name); err != nil {
+			st, err := store.New(s.cfg.Store)
+			if err != nil {
 				panic(fmt.Sprintf("rma: %v", err))
 			}
-			opts = append(opts, core.WithStoreFactory(func() store.AccessStore {
-				st, err := store.New(name)
-				if err != nil {
-					panic(fmt.Sprintf("rma: %v", err))
-				}
-				return st
-			}))
-		}
-		if s.cfg.Shards > 1 {
-			opts = append(opts, core.WithShards(s.cfg.Shards))
+			opts = append(opts, core.WithStore(st))
 		}
 		if s.recOn {
 			opts = append(opts, core.WithRecorder(s.rec, rank))
 		}
-		return core.Build(opts...)
+		return core.New(opts...)
 	}
 	panic(fmt.Sprintf("rma: unknown method %v", s.cfg.Method))
 }
@@ -303,14 +285,6 @@ type WindowStats struct {
 	TotalMaxNodes int
 	// Accesses sums processed accesses over ranks.
 	Accesses uint64
-	// PerRankShardMaxNodes is, for sharded runs, each rank's per-shard
-	// node high-water marks (nil when the analyzer is unsharded).
-	// TotalMaxNodes stays the sum over ranks of the per-rank aggregates,
-	// keeping the Table 4 number comparable at any shard count.
-	PerRankShardMaxNodes [][]int
-	// MaxShardNodes is the largest single-shard high-water mark across
-	// the window — the hottest shard's footprint.
-	MaxShardNodes int
 	// Overflows counts notification sends that found a rank's channel
 	// full and had to block (engine backpressure; nothing is dropped).
 	Overflows int64
@@ -339,17 +313,6 @@ func (s *Session) Stats() []WindowStats {
 			g.eng.WithAnalyzer(r, func(a detector.Analyzer) {
 				ws.PerRankMaxNodes[r] = a.MaxNodes()
 				ws.Accesses += a.Accesses()
-				if sm, ok := a.(interface{ ShardMaxNodes() []int }); ok {
-					if ws.PerRankShardMaxNodes == nil {
-						ws.PerRankShardMaxNodes = make([][]int, g.ranks)
-					}
-					ws.PerRankShardMaxNodes[r] = sm.ShardMaxNodes()
-					for _, n := range ws.PerRankShardMaxNodes[r] {
-						if n > ws.MaxShardNodes {
-							ws.MaxShardNodes = n
-						}
-					}
-				}
 			})
 			ws.TotalMaxNodes += ws.PerRankMaxNodes[r]
 		}

@@ -174,7 +174,26 @@ func TestEventsQueuedSession(t *testing.T) {
 	pr, pw := io.Pipe()
 	done := postAsync(srv.Client(), srv.URL, "queued", pr)
 	id := waitSessions(t, srv.Client(), srv.URL, 3)[0].Session
-	watch := watchAsync(srv.Client(), srv.URL, id)
+	attached := make(chan struct{})
+	watch := make(chan watchResult, 1)
+	go func() {
+		var snaps []obs.ProgressSnapshot
+		v, err := Watch(context.Background(), srv.URL, id, srv.Client(), func(s obs.ProgressSnapshot) {
+			if len(snaps) == 0 {
+				close(attached)
+			}
+			snaps = append(snaps, s)
+		})
+		watch <- watchResult{v: v, snaps: snaps, err: err}
+	}()
+	// The subscription is asynchronous: wait until it delivers its first
+	// snapshot, so the watcher is attached while the session still queues.
+	var res watchResult
+	select {
+	case <-attached:
+	case res = <-watch:
+		t.Fatalf("watch ended before its first snapshot: %+v", res)
+	}
 
 	// Release the hogs, then feed the queued session.
 	for _, w := range hogWriters {
@@ -188,7 +207,7 @@ func TestEventsQueuedSession(t *testing.T) {
 	}
 	pw.Close()
 
-	res := <-watch
+	res = <-watch
 	checkTerminal(t, res, id)
 	if first := res.snaps[0]; first.Stage != "queued" {
 		t.Fatalf("first progress stage = %q, want queued (subscribed before start)", first.Stage)

@@ -7,9 +7,28 @@ import (
 	"rmarace/internal/detector"
 	"rmarace/internal/obs"
 	"rmarace/internal/rma"
+	"rmarace/internal/shard"
 	"rmarace/internal/store"
 	"rmarace/internal/trace"
 )
+
+// MaxShards caps the address-space shard count a replay, session or
+// fuzz run may ask for. Every shard is a whole analyzer built up front
+// (about 0.5 KB each, per owner), so an unchecked count is a memory
+// request; nothing in the project uses more than 8.
+const MaxShards = 64
+
+// CheckShards rejects a shard count the sharded analyzer cannot take:
+// one that is not a power of two, or one above MaxShards.
+func CheckShards(k int) error {
+	if k > MaxShards {
+		return fmt.Errorf("serve: shard count %d above the cap of %d", k, MaxShards)
+	}
+	if _, err := shard.New(k, 0); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	return nil
+}
 
 // NewAnalyzerFactory builds the per-owner analyzer constructor every
 // replay surface shares — `rmarace replay`, `rmarace postmortem` and
@@ -18,14 +37,15 @@ import (
 // the MUST-RMA shared clock state (nil for the other methods) so
 // callers can publish its representation stats after the run.
 func NewAnalyzerFactory(method detector.Method, ranks int, storeName string, shards int, rec obs.Recorder) (func(int) detector.Analyzer, *detector.MustShared, error) {
-	// Validate the backend name once, up front: the per-owner
-	// constructor below runs deep inside a replay loop where an
-	// "unknown store" error has nowhere civilised to go.
+	// Validate the backend name and the shard count once, up front: the
+	// per-owner constructor below runs deep inside a replay loop where
+	// an "unknown store" error or a bad count has nowhere civilised to
+	// go.
 	if _, err := store.New(storeName); err != nil {
 		return nil, nil, err
 	}
-	if shards < 1 {
-		return nil, nil, fmt.Errorf("serve: shard count %d out of range", shards)
+	if err := CheckShards(shards); err != nil {
+		return nil, nil, err
 	}
 	var shared *detector.MustShared
 	if method == detector.MustRMAMethod {

@@ -487,3 +487,45 @@ func TestMethodAndShardParams(t *testing.T) {
 		t.Fatalf("method %q", v.Method)
 	}
 }
+
+// TestBadShardCount: a shard count the sharded analyzer cannot take —
+// not a power of two, or above MaxShards — is refused by the factory
+// before any analyzer is built, so a session asking for one gets a 400
+// (not a dropped connection from a handler panic) and is not left
+// listed as running.
+func TestBadShardCount(t *testing.T) {
+	bad := []int{3, 2 * MaxShards}
+	for _, k := range bad {
+		if _, _, err := NewAnalyzerFactory(detector.OurContribution, 2, "", k, nil); err == nil {
+			t.Errorf("factory accepted shard count %d", k)
+		}
+	}
+	if _, _, err := NewAnalyzerFactory(detector.OurContribution, 2, "", MaxShards, nil); err != nil {
+		t.Errorf("factory refused the cap itself: %v", err)
+	}
+
+	_, srv := newTestDaemon(t, Config{})
+	data := genTrace(t, safeCfg(8), "bin")
+	for _, k := range bad {
+		if code, _ := submit(t, srv.Client(), srv.URL, "s", bytes.NewReader(data), fmt.Sprintf("?shards=%d", k)); code != http.StatusBadRequest {
+			t.Fatalf("?shards=%d: status %d, want 400", k, code)
+		}
+	}
+	resp, err := srv.Client().Get(srv.URL + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list []*Verdict
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != len(bad) {
+		t.Fatalf("%d sessions listed, want %d", len(list), len(bad))
+	}
+	for _, v := range list {
+		if v.State != "failed" {
+			t.Errorf("session %s left in state %q, want failed", v.Session, v.State)
+		}
+	}
+}
