@@ -11,64 +11,102 @@ import (
 	"rmarace/internal/mpi"
 )
 
-// TestCloseRacesInflightNotifications closes the session while every
-// rank is still pumping Put notifications. Nothing may panic (the
-// engine never closes a channel a sender could still be on) and the
-// world must wind down: senders observe the close as an error instead
-// of blocking forever. Every receiver and stop-watcher goroutine must
-// exit too.
+// TestCloseRacesInflightNotifications closes a baseline session while
+// every rank is still pumping Put notifications; see closeUnderFire.
 func TestCloseRacesInflightNotifications(t *testing.T) {
-	for _, method := range []detector.Method{detector.Baseline, detector.OurContribution} {
-		before := runtime.NumGoroutine()
-		world := mpi.NewWorld(4)
-		// NotifBatch 1 keeps a constant stream of channel sends in flight.
-		s := NewSession(world, Config{Method: method, NotifBatch: 1})
+	closeUnderFire(t, detector.Baseline)
+}
 
-		done := make(chan error, 1)
-		go func() {
-			done <- world.Run(func(mp *mpi.Proc) error {
-				p := s.Proc(mp)
-				w, err := p.WinCreate("w", 4*8192)
-				if err != nil {
-					return err
-				}
-				if err := w.LockAll(); err != nil {
-					return err
-				}
-				src := p.Alloc("src", 1)
-				target := (p.Rank() + 1) % p.Size()
-				for i := 0; i < 8192; i++ {
-					// Disjoint per-origin byte streams: no races, just load.
-					off := p.Rank()*8192 + i
-					if err := w.Put(target, off, src, 0, 1, dbg(i)); err != nil {
-						return nil // the close arrived mid-stream: wind down
-					}
-				}
-				return nil
-			})
-		}()
+// TestCloseRacesInflightContributionNotifications is the same close
+// under fire with the contribution analyzer on every receiver.
+func TestCloseRacesInflightContributionNotifications(t *testing.T) {
+	closeUnderFire(t, detector.OurContribution)
+}
 
-		time.Sleep(2 * time.Millisecond) // let the streams start flowing
-		s.Close()
-		s.Close() // double close must stay harmless
+// closeUnderFire closes the session while every rank is still pumping
+// Put notifications. Nothing may panic (the engine never closes a
+// channel a sender could still be on) and the world must wind down:
+// senders observe the close as an error instead of blocking forever.
+// Every receiver, stop-watcher and lock-server goroutine must exit too,
+// also when the close lands before the ranks have created the window.
+func closeUnderFire(t *testing.T, method detector.Method) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	world := mpi.NewWorld(4)
+	// NotifBatch 1 keeps a constant stream of channel sends in flight.
+	s := NewSession(world, Config{Method: method, NotifBatch: 1})
 
-		select {
-		case err := <-done:
-			// Ranks either finished their streams or observed the close;
-			// both are fine — only hangs and panics are failures.
-			_ = err
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%v: world did not wind down after Session.Close", method)
-		}
-		// Poll: the receivers observe the close asynchronously.
-		deadline := time.After(10 * time.Second)
-		for runtime.NumGoroutine() > before {
-			select {
-			case <-deadline:
-				t.Fatalf("%v: goroutines leaked after close: %d before, %d after",
-					method, before, runtime.NumGoroutine())
-			case <-time.After(10 * time.Millisecond):
+	done := make(chan error, 1)
+	go func() {
+		done <- world.Run(func(mp *mpi.Proc) error {
+			p := s.Proc(mp)
+			w, err := p.WinCreate("w", 4*8192)
+			if err != nil {
+				return err
 			}
+			if err := w.LockAll(); err != nil {
+				return err
+			}
+			src := p.Alloc("src", 1)
+			target := (p.Rank() + 1) % p.Size()
+			for i := 0; i < 8192; i++ {
+				// Disjoint per-origin byte streams: no races, just load.
+				off := p.Rank()*8192 + i
+				if err := w.Put(target, off, src, 0, 1, dbg(i)); err != nil {
+					return nil // the close arrived mid-stream: wind down
+				}
+			}
+			return nil
+		})
+	}()
+
+	time.Sleep(2 * time.Millisecond) // let the streams start flowing
+	s.Close()
+	s.Close() // double close must stay harmless
+
+	select {
+	case err := <-done:
+		// Ranks either finished their streams or observed the close;
+		// both are fine — only hangs and panics are failures.
+		_ = err
+	case <-time.After(10 * time.Second):
+		t.Fatal("world did not wind down after Session.Close")
+	}
+	// Poll: the receivers observe the close asynchronously.
+	deadline := time.After(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		select {
+		case <-deadline:
+			t.Fatalf("goroutines leaked after close: %d before, %d after",
+				before, runtime.NumGoroutine())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestWinCreateAfterClose closes the session before any rank has
+// created its window, the order closeUnderFire hits when its ranks are
+// scheduled late. WinCreate must fail instead
+// of starting receivers and a lock server that Close can no longer
+// stop.
+func TestWinCreateAfterClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	world := mpi.NewWorld(2)
+	s := NewSession(world, Config{Method: detector.OurContribution})
+	s.Close()
+	err := world.Run(func(mp *mpi.Proc) error {
+		_, err := s.Proc(mp).WinCreate("w", 64)
+		return err
+	})
+	if !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("WinCreate after Close: got %v, want ErrSessionClosed", err)
+	}
+	deadline := time.After(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		select {
+		case <-deadline:
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }

@@ -25,6 +25,10 @@ var ErrEpochOpen = errors.New("rma: epoch already open")
 // ErrFreed is returned by operations on a window after MPI_Win_free.
 var ErrFreed = errors.New("rma: window has been freed (MPI_Win_free)")
 
+// ErrSessionClosed is returned by WinCreate after Session.Close: a
+// window created then would start receivers nothing is left to stop.
+var ErrSessionClosed = errors.New("rma: session closed")
+
 // DefaultNotifBatch is the notification batch size when Config leaves
 // NotifBatch zero: up to this many consecutive target-side accesses to
 // the same target coalesce into one channel message. 1 disables
@@ -107,6 +111,12 @@ func (p *Proc) WinCreate(name string, size int, opts ...BufOpt) (*Win, error) {
 	n := p.Size()
 
 	s.mu.Lock()
+	select {
+	case <-s.closed:
+		s.mu.Unlock()
+		return nil, ErrSessionClosed
+	default:
+	}
 	g, ok := s.wins[name]
 	if !ok {
 		g = &winGlobal{
@@ -544,7 +554,8 @@ func (w *Win) FlushAll() error { return w.Flush(-1) }
 
 // Close releases the session's receiver goroutines. Call it after the
 // world has finished; it is not collective and safe to call more than
-// once, even while notifications are still in flight.
+// once, even while notifications are still in flight. A WinCreate
+// that comes after it fails with ErrSessionClosed.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
