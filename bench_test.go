@@ -11,16 +11,15 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"rmarace/internal/access"
-	"rmarace/internal/apps/cfdproxy"
 	"rmarace/internal/apps/minivite"
 	"rmarace/internal/benchkit"
 	"rmarace/internal/codes"
 	"rmarace/internal/core"
 	"rmarace/internal/detector"
-	"rmarace/internal/engine"
 	"rmarace/internal/figure3"
 	"rmarace/internal/interval"
 	"rmarace/internal/micro"
@@ -157,30 +156,10 @@ func BenchmarkFigure9InjectedRace(b *testing.B) {
 	}
 }
 
-// benchCFDConfig is the scaled Figure 10 workload.
-func benchCFDConfig() cfdproxy.Config {
-	return cfdproxy.Config{Ranks: 12, Iters: 10, Points: 20, InteriorOps: 200}
-}
-
 // BenchmarkFigure10CFDProxy measures the CFD-Proxy epoch time per
-// method; the epochs-ms and nodes metrics correspond to the figure's
+// method; the epoch_ms and nodes metrics correspond to the figure's
 // bars and the §5.3 node claim.
-func BenchmarkFigure10CFDProxy(b *testing.B) {
-	for _, m := range detector.Methods() {
-		b.Run(m.String(), func(b *testing.B) {
-			var res cfdproxy.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = cfdproxy.Run(benchCFDConfig(), m)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.EpochTime.Milliseconds()), "epoch-ms")
-			b.ReportMetric(float64(res.MaxNodesPerProcess), "nodes")
-		})
-	}
-}
+func BenchmarkFigure10CFDProxy(b *testing.B) { runSeries(b, "figure10-cfdproxy/") }
 
 func benchMiniVite(b *testing.B, vertices int, ranks int) {
 	for _, m := range detector.Methods() {
@@ -193,7 +172,7 @@ func benchMiniVite(b *testing.B, vertices int, ranks int) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(res.PerProcessTime.Microseconds())/1000, "proc-ms")
+			b.ReportMetric(float64(res.PerProcessTime.Microseconds())/1000, "proc_ms")
 			b.ReportMetric(float64(res.MaxNodesPerProcess), "nodes")
 		})
 	}
@@ -216,36 +195,15 @@ func BenchmarkFigure12MiniViteLarge(b *testing.B) {
 }
 
 // BenchmarkTable4NodeCounts reports the per-process node counts of the
-// two tree-based analyzers on MiniVite.
-func BenchmarkTable4NodeCounts(b *testing.B) {
-	v := benchVertices()
-	for _, ranks := range []int{8, 32} {
-		b.Run(fmt.Sprintf("r%d", ranks), func(b *testing.B) {
-			var legacy, ours minivite.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				legacy, err = minivite.Run(minivite.Default(ranks, v), detector.RMAAnalyzer)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ours, err = minivite.Run(minivite.Default(ranks, v), detector.OurContribution)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(legacy.MaxNodesPerProcess), "legacy-nodes")
-			b.ReportMetric(float64(ours.MaxNodesPerProcess), "ours-nodes")
-			b.ReportMetric(100*float64(legacy.MaxNodesPerProcess-ours.MaxNodesPerProcess)/
-				float64(legacy.MaxNodesPerProcess), "reduction-pct")
-		})
-	}
-}
+// two tree-based analyzers on MiniVite at 8 ranks (the 32-rank counts
+// are BenchmarkFigure11MiniVite's nodes metric).
+func BenchmarkTable4NodeCounts(b *testing.B) { runSeries(b, "table4-nodes/") }
 
 // BenchmarkAblationFragmentationOnly compares the full algorithm with
 // the merging pass disabled (§4.1's node explosion) on the CFD-like
 // adjacent stream.
 func BenchmarkAblationFragmentationOnly(b *testing.B) {
-	stream := adjacentStream(20000)
+	stream := benchkit.AdjacentStream(20000)
 	for _, variant := range []struct {
 		name string
 		mk   func() *core.Analyzer
@@ -400,91 +358,22 @@ func BenchmarkAblationUnbalanced(b *testing.B) {
 
 // BenchmarkNotificationThroughput drives a CFD-Proxy-shaped stream of
 // adjacent target-side accesses through the analysis engine's serial
-// receiver, unbatched (one channel message per access, the
-// pre-pipeline behaviour) versus coalesced into DefaultNotifBatch-sized
-// batches. Batching amortises the channel, lock and condvar traffic and
-// lets the analyzer's frontier fast path elide the per-access neighbour
-// search.
-func BenchmarkNotificationThroughput(b *testing.B) {
-	stream := benchkit.AdjacentStream(1 << 14)
-	run := func(b *testing.B, batch int) {
-		b.ReportAllocs()
-		e := engine.New(engine.Config{
-			Ranks:       1,
-			NewAnalyzer: func(int) detector.Analyzer { return core.New() },
-		})
-		e.StartReceiver(0)
-		defer e.Close()
-		b.ResetTimer()
-		var sent int64
-		for i := 0; i < b.N; {
-			// One analysis epoch per pass over the stream.
-			for off := 0; off < len(stream) && i < b.N; off += batch {
-				end := off + batch
-				if end > len(stream) {
-					end = len(stream)
-				}
-				evs := append(e.GetEventBuf(), stream[off:end]...)
-				if err := e.Notify(0, evs); err != nil {
-					b.Fatal(err)
-				}
-				sent += int64(end - off)
-				i += end - off
-			}
-			if err := e.WaitReceived(0, sent); err != nil {
-				b.Fatal(err)
-			}
-			e.EpochEnd(0)
+// receiver, unbatched (one channel message per access) versus
+// coalesced into batches of 64.
+func BenchmarkNotificationThroughput(b *testing.B) { runSeries(b, "notification-throughput/") }
+
+// BenchmarkInsert compares per-access analyzer cost, the contribution
+// against the legacy BST, on the two access patterns of the
+// evaluation: adjacent (CFD-Proxy-like) and strided (MiniVite-like).
+func BenchmarkInsert(b *testing.B) { runSeries(b, "insert/") }
+
+// runSeries runs the benchkit series whose names start with prefix as
+// sub-benchmarks named by the rest, so `go test -bench` and
+// `rmarace bench` measure the same bodies.
+func runSeries(b *testing.B, prefix string) {
+	for _, s := range benchkit.Table(benchVertices()) {
+		if name, ok := strings.CutPrefix(s.Name, prefix); ok {
+			b.Run(name, s.Bench)
 		}
 	}
-	for _, batch := range []int{1, 64} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) { run(b, batch) })
-	}
 }
-
-// BenchmarkInsert compares per-access analyzer cost on the two access
-// patterns of the evaluation: adjacent (CFD-Proxy-like) and strided
-// (MiniVite-like).
-func BenchmarkInsert(b *testing.B) {
-	patterns := []struct {
-		name   string
-		stream []detector.Event
-	}{
-		{"adjacent", adjacentStream(4096)},
-		{"strided", stridedStream(4096)},
-	}
-	for _, pat := range patterns {
-		b.Run("ours/"+pat.name, func(b *testing.B) {
-			b.ReportAllocs()
-			z := core.New()
-			for i := 0; i < b.N; i++ {
-				if r := z.Access(pat.stream[i%len(pat.stream)]); r != nil {
-					b.Fatal(r)
-				}
-				if i%len(pat.stream) == len(pat.stream)-1 {
-					z.EpochEnd()
-				}
-			}
-		})
-		b.Run("legacy/"+pat.name, func(b *testing.B) {
-			b.ReportAllocs()
-			z := detector.NewLegacy()
-			for i := 0; i < b.N; i++ {
-				if r := z.Access(pat.stream[i%len(pat.stream)]); r != nil {
-					b.Fatal(r)
-				}
-				if i%len(pat.stream) == len(pat.stream)-1 {
-					z.EpochEnd()
-				}
-			}
-		})
-	}
-}
-
-// adjacentStream emits n adjacent same-line RMA writes (mergeable).
-// Shared with the `rmarace bench` CLI suite so both measure identical
-// workloads.
-func adjacentStream(n int) []detector.Event { return benchkit.AdjacentStream(n) }
-
-// stridedStream emits n strided reads at distinct lines (unmergeable).
-func stridedStream(n int) []detector.Event { return benchkit.StridedStream(n) }

@@ -1,18 +1,19 @@
-// Package benchkit runs the paper-figure performance suite from a
-// normal binary (the `rmarace bench` subcommand) by driving
-// testing.Benchmark directly, and serialises the measurements — ns/op,
-// allocs/op and the node-count metrics of Figure 10 and Table 4 — to
-// JSON so successive PRs can diff BENCH_PR2.json-style snapshots
-// without parsing `go test -bench` text output.
+// Package benchkit holds the repository's benchmark series and runs
+// them from a normal binary. A series is one named benchmark row, such
+// as insert/ours/adjacent; Table lists every series with its one body,
+// a func(*testing.B) that reports its metrics with b.ReportMetric.
+// `rmarace bench` runs the table through testing.Benchmark (Suite) and
+// serialises ns/op, allocs/op and those metrics to JSON, so successive
+// changes can diff BENCH_PR8.json-style snapshots without parsing
+// `go test -bench` text. The root package's bench_test.go runs the same
+// entries with b.Run, so both harnesses measure identical code.
 //
-// The same stream generators back the package-level benchmarks in
-// bench_test.go, so the CLI numbers and `go test -bench` numbers are
-// measured on identical workloads.
+// The trace-ingest and serve sweeps are single timed passes rather
+// than testing.Benchmark bodies; only `rmarace bench` runs them.
 package benchkit
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"testing"
 
@@ -38,7 +39,7 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the full suite output written to BENCH_PR2.json.
+// Report is the full suite output `rmarace bench` writes.
 type Report struct {
 	Suite   string   `json:"suite"`
 	Results []Result `json:"results"`
@@ -61,22 +62,23 @@ type Options struct {
 	// SpanSink, when non-nil, receives the instrumented CFD-Proxy run's
 	// causal spans as Chrome trace-event JSON (`rmarace bench -spans`).
 	SpanSink io.Writer
-	// Quick restricts the suite to the gated series — insert hot path,
-	// notification throughput, clock memory, stack depot — skipping the
+	// Quick restricts the suite to the gated series — the table's Quick
+	// rows and the small trace-ingest and serve sweeps — skipping the
 	// slower figure/table reproductions (the CI memory-bench step).
 	Quick bool
 }
 
-// Suite runs every benchmark and collects the report.
+// Suite runs the series table and the sweeps and collects the report.
 func Suite(opts Options) Report {
 	if opts.Vertices <= 0 {
 		opts.Vertices = 16000
 	}
 	var out []Result
-	out = append(out, insertResults()...)
-	out = append(out, notificationResult())
-	out = append(out, clockMemResults(256)...)
-	out = append(out, depotResults()...)
+	for _, s := range Table(opts.Vertices) {
+		if s.Quick || !opts.Quick {
+			out = append(out, result(s.Name, testing.Benchmark(s.Bench)))
+		}
+	}
 	out = append(out, traceIngestResults(opts.Quick)...)
 	out = append(out, serveSweepResults(opts.Quick)...)
 	if opts.Quick {
@@ -85,8 +87,6 @@ func Suite(opts Options) Report {
 			Results: out,
 		}
 	}
-	out = append(out, figure10Results()...)
-	out = append(out, table4Results(opts.Vertices)...)
 	return Report{
 		Suite:   "rmarace perf suite (insert hot path, notification pipeline, clock memory, stack depot, trace ingest, serve sweep, Figure 10, Table 4)",
 		Results: out,
@@ -126,53 +126,82 @@ func (rep Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(rep)
 }
 
-func result(name string, r testing.BenchmarkResult, metrics map[string]float64) Result {
+func result(name string, r testing.BenchmarkResult) Result {
 	return Result{
 		Name:        name,
 		Iterations:  r.N,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
-		Metrics:     metrics,
+		Metrics:     r.Extra,
 	}
 }
 
-// insertResults measures per-access analyzer cost (the zero-allocation
-// hot path) on the two access patterns of the evaluation.
-func insertResults() []Result {
-	var out []Result
-	for _, pat := range []struct {
-		name   string
-		stream []detector.Event
-	}{
-		{"adjacent", AdjacentStream(4096)},
-		{"strided", StridedStream(4096)},
-	} {
-		pat := pat
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			z := core.New()
-			for i := 0; i < b.N; i++ {
-				if race := z.Access(pat.stream[i%len(pat.stream)]); race != nil {
-					b.Fatal(race)
-				}
-				if i%len(pat.stream) == len(pat.stream)-1 {
-					z.EpochEnd()
-				}
-			}
-		})
-		out = append(out, result("insert/ours/"+pat.name, r, nil))
+// Series is one named benchmark row and its only body.
+type Series struct {
+	// Name is the row name in the JSON snapshot; its first path element
+	// picks the `go test` benchmark that runs it (insert/ runs under
+	// BenchmarkInsert).
+	Name string
+	// Quick marks the gated rows `rmarace bench -quick` keeps.
+	Quick bool
+	// Bench is the body. It reports its metrics with b.ReportMetric.
+	Bench func(*testing.B)
+}
+
+// Table returns every series in report order. vertices is the MiniVite
+// input size of the Table 4 rows.
+func Table(vertices int) []Series {
+	adjacent, strided := AdjacentStream(4096), StridedStream(4096)
+	notify := AdjacentStream(1 << 14)
+	ours := func() detector.Analyzer { return core.New() }
+	legacy := func() detector.Analyzer { return detector.NewLegacy() }
+	out := []Series{
+		{"insert/ours/adjacent", true, insertBench(adjacent, ours)},
+		{"insert/ours/strided", true, insertBench(strided, ours)},
+		{"insert/legacy/adjacent", false, insertBench(adjacent, legacy)},
+		{"insert/legacy/strided", false, insertBench(strided, legacy)},
+		{"notification-throughput/batch1", false, notificationBench(notify, 1)},
+		{"notification-throughput/batch64", true, notificationBench(notify, 64)},
+		{"clock-mem/r256/adaptive", true, clockMemBench(256, detector.NewMustShared)},
+		{"clock-mem/r256/vector", true, clockMemBench(256, detector.NewMustSharedVector)},
+		{"stack-depot/dedup", true, depotBench},
 	}
+	for _, m := range detector.Methods() {
+		out = append(out, Series{"figure10-cfdproxy/" + m.String(), false, figure10Bench(m)})
+	}
+	out = append(out,
+		Series{"table4-nodes/r8/rma-analyzer", false, table4Bench(vertices, detector.RMAAnalyzer)},
+		Series{"table4-nodes/r8/our-contribution", false, table4Bench(vertices, detector.OurContribution)})
 	return out
 }
 
-// notificationResult measures end-to-end engine throughput (one op =
-// one analysed event): an adjacent stream notified in batches of 64 to
-// one rank's receiver, which analyses it serially.
-func notificationResult() Result {
-	stream := AdjacentStream(1 << 14)
-	var nodes float64
-	r := testing.Benchmark(func(b *testing.B) {
+// insertBench measures per-access analyzer cost (the zero-allocation
+// hot path of the contribution) on one access pattern, one epoch per
+// pass over the stream.
+func insertBench(stream []detector.Event, mk func() detector.Analyzer) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		z := mk()
+		for i := 0; i < b.N; i++ {
+			if race := z.Access(stream[i%len(stream)]); race != nil {
+				b.Fatal(race)
+			}
+			if i%len(stream) == len(stream)-1 {
+				z.EpochEnd()
+			}
+		}
+	}
+}
+
+// notificationBench measures end-to-end engine throughput (one op =
+// one analysed event): an adjacent stream notified in batches to one
+// rank's receiver, which analyses it serially. Batch 1 is one channel
+// message per access, the pre-pipeline behaviour; larger batches
+// amortise the channel, lock and condvar traffic and let the
+// analyzer's frontier fast path elide the per-access neighbour search.
+func notificationBench(stream []detector.Event, batch int) func(*testing.B) {
+	return func(b *testing.B) {
 		b.ReportAllocs()
 		e := engine.New(engine.Config{
 			Ranks:       1,
@@ -182,13 +211,10 @@ func notificationResult() Result {
 		defer e.Close()
 		b.ResetTimer()
 		var sent int64
-		const batch = 64
 		for i := 0; i < b.N; {
+			// One analysis epoch per pass over the stream.
 			for off := 0; off < len(stream) && i < b.N; off += batch {
-				end := off + batch
-				if end > len(stream) {
-					end = len(stream)
-				}
+				end := min(off+batch, len(stream))
 				evs := append(e.GetEventBuf(), stream[off:end]...)
 				if err := e.Notify(0, evs); err != nil {
 					b.Fatal(err)
@@ -202,9 +228,10 @@ func notificationResult() Result {
 			e.EpochEnd(0)
 		}
 		b.StopTimer()
-		e.WithAnalyzer(0, func(a detector.Analyzer) { nodes = float64(a.MaxNodes()) })
-	})
-	return result("notification-throughput/batch64", r, map[string]float64{"max_nodes": nodes})
+		var nodes int
+		e.WithAnalyzer(0, func(a detector.Analyzer) { nodes = a.MaxNodes() })
+		b.ReportMetric(float64(nodes), "max_nodes")
+	}
 }
 
 // clockMemWorkload drives one MUST-RMA clock workload at scale ranks:
@@ -224,136 +251,94 @@ func clockMemWorkload(s *detector.MustShared, ranks int) {
 	}
 }
 
-// clockMemResults measures the happens-before clock memory at scale:
-// the identical 256-rank snapshot workload under the adaptive
-// epoch⇄vector representation and the always-vector baseline. The
-// metrics record the clock payload each representation allocates —
-// reduction_x on the adaptive series is the §5.3 piggybacking cost
-// recovered (gated ≥10× in CI).
-func clockMemResults(ranks int) []Result {
-	var out []Result
-	for _, mode := range []struct {
-		name string
-		mk   func() *detector.MustShared
-	}{
-		{"adaptive", func() *detector.MustShared { return detector.NewMustShared(ranks) }},
-		{"vector", func() *detector.MustShared { return detector.NewMustSharedVector(ranks) }},
-	} {
-		mode := mode
+// clockMemBench measures the happens-before clock memory at scale: the
+// same snapshot workload under one clock representation (the adaptive
+// epoch⇄vector one or the always-vector baseline). The metrics record
+// the clock payload it allocates; reduction_x on the adaptive row is
+// the §5.3 piggybacking cost recovered (gated ≥10× in CI).
+func clockMemBench(ranks int, mk func(int) *detector.MustShared) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
 		var stats detector.ClockStats
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := mode.mk()
-				clockMemWorkload(s, ranks)
-				stats = s.ClockStats()
-			}
-		})
-		m := map[string]float64{
-			"clock_bytes":        float64(stats.BytesAdaptive),
-			"clock_bytes_vector": float64(stats.BytesVector),
-			"epoch_snapshots":    float64(stats.EpochSnaps),
-			"shared_snapshots":   float64(stats.SharedSnaps),
-			"vector_snapshots":   float64(stats.VectorSnaps),
-			"promotions":         float64(stats.Promotions),
-			"full_clocks_live":   float64(stats.FullClocksLive),
-			"epochs_held":        float64(stats.EpochsHeld),
+		for i := 0; i < b.N; i++ {
+			s := mk(ranks)
+			clockMemWorkload(s, ranks)
+			stats = s.ClockStats()
 		}
+		b.ReportMetric(float64(stats.BytesAdaptive), "clock_bytes")
+		b.ReportMetric(float64(stats.BytesVector), "clock_bytes_vector")
+		b.ReportMetric(float64(stats.EpochSnaps), "epoch_snapshots")
+		b.ReportMetric(float64(stats.SharedSnaps), "shared_snapshots")
+		b.ReportMetric(float64(stats.VectorSnaps), "vector_snapshots")
+		b.ReportMetric(float64(stats.Promotions), "promotions")
+		b.ReportMetric(float64(stats.FullClocksLive), "full_clocks_live")
+		b.ReportMetric(float64(stats.EpochsHeld), "epochs_held")
 		if stats.BytesAdaptive > 0 {
-			m["reduction_x"] = float64(stats.BytesVector) / float64(stats.BytesAdaptive)
+			b.ReportMetric(float64(stats.BytesVector)/float64(stats.BytesAdaptive), "reduction_x")
 		}
-		out = append(out, result(fmt.Sprintf("clock-mem/r%d/%s", ranks, mode.name), r, m))
 	}
-	return out
 }
 
-// depotResults measures stack-depot deduplication on a synthetic
+// depotBench measures stack-depot deduplication on a synthetic
 // workload of 10000 captures over 32 distinct call sites — the shape a
 // capture-enabled run produces (many accesses, few sites).
-func depotResults() []Result {
+func depotBench(b *testing.B) {
 	const sites, captures = 32, 10000
 	pcs := make([][]uintptr, sites)
 	for s := range pcs {
 		pcs[s] = []uintptr{uintptr(0x400000 + s), uintptr(0x500000 + s*3), uintptr(0x600000 + s*7)}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	var stats depot.Stats
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d := depot.New()
-			for k := 0; k < captures; k++ {
-				d.Insert(pcs[k%sites], func([]uintptr) string { return "synthetic frame (bench.go:1)" })
-			}
-			stats = d.Stats()
+	for i := 0; i < b.N; i++ {
+		d := depot.New()
+		for k := 0; k < captures; k++ {
+			d.Insert(pcs[k%sites], func([]uintptr) string { return "synthetic frame (bench.go:1)" })
 		}
-	})
-	m := map[string]float64{
-		"entries": float64(stats.Entries),
-		"bytes":   float64(stats.Bytes),
-		"hits":    float64(stats.Hits),
-		"misses":  float64(stats.Misses),
+		stats = d.Stats()
 	}
+	b.ReportMetric(float64(stats.Entries), "entries")
+	b.ReportMetric(float64(stats.Bytes), "bytes")
+	b.ReportMetric(float64(stats.Hits), "hits")
+	b.ReportMetric(float64(stats.Misses), "misses")
 	if stats.Entries > 0 {
-		m["dedup_x"] = float64(captures) / float64(stats.Entries)
+		b.ReportMetric(float64(captures)/float64(stats.Entries), "dedup_x")
 	}
-	return []Result{result("stack-depot/dedup", r, m)}
 }
 
-// figure10Results runs the scaled CFD-Proxy workload per method and
-// records the epoch-time and node metrics of the figure's bars.
-func figure10Results() []Result {
-	cfg := cfdproxy.Config{Ranks: 12, Iters: 10, Points: 20, InteriorOps: 200}
-	var out []Result
-	for _, m := range detector.Methods() {
-		m := m
+// figure10Bench runs the scaled CFD-Proxy workload under one method;
+// epoch_ms and nodes are the figure's bar and the §5.3 node claim.
+func figure10Bench(m detector.Method) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
 		var res cfdproxy.Result
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
 			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = cfdproxy.Run(cfg, m)
-				if err != nil {
-					b.Fatal(err)
-				}
+			if res, err = cfdproxy.Run(cfdproxy.Config{Ranks: 12, Iters: 10, Points: 20, InteriorOps: 200}, m); err != nil {
+				b.Fatal(err)
 			}
-		})
-		out = append(out, result("figure10-cfdproxy/"+m.String(), r, map[string]float64{
-			"epoch_ms": float64(res.EpochTime.Milliseconds()),
-			"nodes":    float64(res.MaxNodesPerProcess),
-		}))
+		}
+		b.ReportMetric(float64(res.EpochTime.Milliseconds()), "epoch_ms")
+		b.ReportMetric(float64(res.MaxNodesPerProcess), "nodes")
 	}
-	return out
 }
 
-// table4Results reports the per-process node counts of the two
-// tree-based analyzers on MiniVite.
-func table4Results(vertices int) []Result {
-	var out []Result
-	for _, mm := range []struct {
-		name string
-		m    detector.Method
-	}{
-		{"rma-analyzer", detector.RMAAnalyzer},
-		{"our-contribution", detector.OurContribution},
-	} {
-		mm := mm
+// table4Bench reports one tree-based analyzer's per-process node count
+// on MiniVite at 8 ranks.
+func table4Bench(vertices int, m detector.Method) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
 		var res minivite.Result
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
 			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = minivite.Run(minivite.Default(8, vertices), mm.m)
-				if err != nil {
-					b.Fatal(err)
-				}
+			if res, err = minivite.Run(minivite.Default(8, vertices), m); err != nil {
+				b.Fatal(err)
 			}
-		})
-		out = append(out, result("table4-nodes/r8/"+mm.name, r, map[string]float64{
-			"nodes":   float64(res.MaxNodesPerProcess),
-			"proc_ms": float64(res.PerProcessTime.Microseconds()) / 1000,
-		}))
+		}
+		b.ReportMetric(float64(res.MaxNodesPerProcess), "nodes")
+		b.ReportMetric(float64(res.PerProcessTime.Microseconds())/1000, "proc_ms")
 	}
-	return out
 }
 
 // AdjacentStream emits n adjacent same-line RMA writes (mergeable): the

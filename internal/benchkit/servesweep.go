@@ -2,7 +2,7 @@ package benchkit
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -92,39 +92,12 @@ func serveOffline(data []byte) trace.ReplayResult {
 	return res
 }
 
-// serveVerdict is the slice of the daemon's verdict document the sweep
-// compares.
-type serveVerdict struct {
-	Events   int `json:"events"`
-	Epochs   int `json:"epochs"`
-	MaxNodes int `json:"max_nodes"`
-	Race     *struct {
-		Message string `json:"message"`
-	} `json:"race"`
-}
-
-func serveSubmit(client *http.Client, url, tenant string, body io.Reader) (int, serveVerdict, error) {
-	var v serveVerdict
-	req, err := http.NewRequest("POST", url+"/v1/analyze", body)
-	if err != nil {
-		return 0, v, err
-	}
-	req.Header.Set("X-Tenant", tenant)
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, v, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, v, err
-	}
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return resp.StatusCode, v, err
-		}
-	}
-	return resp.StatusCode, v, nil
+// serveSubmit posts one trace body for tenant through serve.Submit,
+// the client `rmarace submit` uses.
+func serveSubmit(client *http.Client, url, tenant string, body io.Reader) (int, *serve.Verdict, error) {
+	return serve.Submit(context.Background(), url,
+		func() (io.ReadCloser, error) { return io.NopCloser(body), nil },
+		serve.SubmitOpts{Tenant: tenant, Client: client})
 }
 
 // serveAggResult fans out the concurrent-session load and measures the

@@ -73,18 +73,7 @@ func (s *Session) ClockStats() detector.ClockStats {
 // snapshots and the telemetry endpoint expose them. Gauges are set
 // idempotently: calling Report twice does not double-count.
 func (s *Session) recordAdaptiveStats(rec obs.Recorder) {
-	if s.must != nil {
-		cs := s.must.ClockStats()
-		rec.Set(obs.ClockPromotions, 0, int64(cs.Promotions))
-		rec.Set(obs.ClockDemotions, 0, int64(cs.Demotions))
-		rec.Set(obs.ClockEpochSnapshots, 0, int64(cs.EpochSnaps))
-		rec.Set(obs.ClockSharedSnapshots, 0, int64(cs.SharedSnaps))
-		rec.Set(obs.ClockVectorSnapshots, 0, int64(cs.VectorSnaps))
-		rec.Set(obs.ClockBytes, 0, int64(cs.BytesAdaptive))
-		rec.Set(obs.ClockBytesVector, 0, int64(cs.BytesVector))
-		rec.Set(obs.ClockEpochsHeld, 0, int64(cs.EpochsHeld))
-		rec.Set(obs.ClockFullLive, 0, int64(cs.FullClocksLive))
-	}
+	RecordClockStats(rec, s.must)
 	if s.cfg.CaptureStacks {
 		ds := depot.GlobalStats()
 		rec.Set(obs.DepotEntries, 0, int64(ds.Entries))
@@ -98,6 +87,27 @@ func (s *Session) recordAdaptiveStats(rec obs.Recorder) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rec.SetMax(obs.PeakRSS, 0, int64(ms.HeapAlloc))
+}
+
+// RecordClockStats publishes the MUST-RMA clock-representation
+// counters of shared as gauges on rec, so live-session reports, replay
+// reports, daemon session reports and `rmarace stats` expose them. A
+// nil shared state or a disabled recorder (a nil *obs.Registry
+// included) is a no-op.
+func RecordClockStats(rec obs.Recorder, shared *detector.MustShared) {
+	if shared == nil || !rec.Enabled() {
+		return
+	}
+	cs := shared.ClockStats()
+	rec.Set(obs.ClockPromotions, 0, int64(cs.Promotions))
+	rec.Set(obs.ClockDemotions, 0, int64(cs.Demotions))
+	rec.Set(obs.ClockEpochSnapshots, 0, int64(cs.EpochSnaps))
+	rec.Set(obs.ClockSharedSnapshots, 0, int64(cs.SharedSnaps))
+	rec.Set(obs.ClockVectorSnapshots, 0, int64(cs.VectorSnaps))
+	rec.Set(obs.ClockBytes, 0, int64(cs.BytesAdaptive))
+	rec.Set(obs.ClockBytesVector, 0, int64(cs.BytesVector))
+	rec.Set(obs.ClockEpochsHeld, 0, int64(cs.EpochsHeld))
+	rec.Set(obs.ClockFullLive, 0, int64(cs.FullClocksLive))
 }
 
 // RaceReport converts a detected race into its report form: the

@@ -18,6 +18,11 @@ import (
 // request; nothing in the project uses more than 8.
 const MaxShards = 64
 
+// MaxSpanSlots caps a ?spans=1 session's span rings: header ranks ×
+// ?spandepth, 64 bytes a slot before each ring rounds up to a power of
+// two. 1<<20 slots is 64 MiB; it admits 256 ranks at the default depth.
+const MaxSpanSlots = 1 << 20
+
 // CheckShards rejects a shard count the sharded analyzer cannot take:
 // one that is not a power of two, or one above MaxShards.
 func CheckShards(k int) error {
@@ -54,11 +59,8 @@ func NewAnalyzerFactory(method detector.Method, ranks int, storeName string, sha
 	recording := rec != nil && rec.Enabled()
 	// Each analyzer owns its backend, so one is built per owner. The
 	// name was validated above, so the rebuild cannot fail.
-	newStore := func(owner int) store.AccessStore {
+	newStore := func() store.AccessStore {
 		st, _ := store.New(storeName)
-		if recording {
-			st = store.Instrument(st, rec, owner)
-		}
 		return st
 	}
 	factory := func(owner int) detector.Analyzer {
@@ -66,16 +68,23 @@ func NewAnalyzerFactory(method detector.Method, ranks int, storeName string, sha
 		case detector.Baseline:
 			return detector.NewBaseline()
 		case detector.RMAAnalyzer:
-			if storeName != "" {
-				return detector.NewLegacyWithStore(newStore(owner))
+			if storeName == "" {
+				return detector.NewLegacy()
 			}
-			return detector.NewLegacy()
+			// The legacy analyzer takes no recorder, so its store is
+			// instrumented here.
+			st := newStore()
+			if recording {
+				st = store.Instrument(st, rec, owner)
+			}
+			return detector.NewLegacyWithStore(st)
 		case detector.MustRMAMethod:
 			return detector.NewMustRMA(shared, owner)
 		default:
+			// The bare store: core.WithRecorder instruments it.
 			opts := []core.Option{core.WithOwner(owner)}
 			if storeName != "" {
-				opts = append(opts, core.WithStoreFactory(func() store.AccessStore { return newStore(owner) }))
+				opts = append(opts, core.WithStoreFactory(newStore))
 			}
 			if shards > 1 {
 				opts = append(opts, core.WithShards(shards))
@@ -87,26 +96,6 @@ func NewAnalyzerFactory(method detector.Method, ranks int, storeName string, sha
 		}
 	}
 	return factory, shared, nil
-}
-
-// RecordClockStats publishes the MUST-RMA clock-representation
-// counters as registry gauges so replay reports, session reports and
-// `rmarace stats` expose them. A nil registry or shared state is a
-// no-op.
-func RecordClockStats(reg *obs.Registry, shared *detector.MustShared) {
-	if reg == nil || shared == nil {
-		return
-	}
-	cs := shared.ClockStats()
-	reg.Set(obs.ClockPromotions, 0, int64(cs.Promotions))
-	reg.Set(obs.ClockDemotions, 0, int64(cs.Demotions))
-	reg.Set(obs.ClockEpochSnapshots, 0, int64(cs.EpochSnaps))
-	reg.Set(obs.ClockSharedSnapshots, 0, int64(cs.SharedSnaps))
-	reg.Set(obs.ClockVectorSnapshots, 0, int64(cs.VectorSnaps))
-	reg.Set(obs.ClockBytes, 0, int64(cs.BytesAdaptive))
-	reg.Set(obs.ClockBytesVector, 0, int64(cs.BytesVector))
-	reg.Set(obs.ClockEpochsHeld, 0, int64(cs.EpochsHeld))
-	reg.Set(obs.ClockFullLive, 0, int64(cs.FullClocksLive))
 }
 
 // ReplayReport converts a replay result plus the metrics registry into

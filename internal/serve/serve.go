@@ -58,6 +58,7 @@ import (
 	"rmarace/internal/obs/olog"
 	"rmarace/internal/obs/span"
 	"rmarace/internal/obs/telemetry"
+	"rmarace/internal/rma"
 	"rmarace/internal/trace"
 	"rmarace/internal/tracebin"
 )
@@ -485,6 +486,9 @@ func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, bo
 		if depth <= 0 {
 			depth = 4096
 		}
+		if depth > MaxSpanSlots/max(head.Ranks, 1) {
+			return fail(http.StatusBadRequest, fmt.Errorf("serve: %d ranks at span depth %d exceed the cap of %d span slots", head.Ranks, depth, MaxSpanSlots))
+		}
 		spans = span.NewLogicalTracer(head.Ranks, depth)
 		s.setSpans(spans)
 	}
@@ -523,7 +527,7 @@ func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, bo
 		}
 		return fail(http.StatusBadRequest, err)
 	}
-	RecordClockStats(sreg, shared)
+	rma.RecordClockStats(sreg, shared)
 	if res.Race != nil {
 		d.reg.Add(obs.ServeRaces, ts.id, 1)
 	}

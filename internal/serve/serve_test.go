@@ -529,3 +529,67 @@ func TestBadShardCount(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedRequestsRejected: a flight depth, a span ring or a
+// header world size that would size an allocation past its cap fails
+// the session with 400 before the allocation, and the daemon goes on
+// serving: a later session still gets the offline verdict.
+func TestOversizedRequestsRejected(t *testing.T) {
+	_, srv := newTestDaemon(t, Config{})
+	data := genTrace(t, racyCfg(5), "bin")
+	huge := `{"kind":"header","ranks":2000000000,"window":"w"}
+{"kind":"access","owner":0,"rank":1,"lo":0,"hi":8,"type":"rma_write"}
+{"kind":"epoch_end","owner":0,"rank":0}
+`
+	for _, tc := range []struct {
+		query string
+		body  []byte
+	}{
+		{"?flight=134217728", data},
+		{"?spans=1&spandepth=134217728", data},
+		{"?method=must-rma", []byte(huge)},
+	} {
+		code, v := submit(t, srv.Client(), srv.URL, "big", bytes.NewReader(tc.body), tc.query)
+		if code != http.StatusBadRequest || v == nil || v.State != "failed" {
+			t.Errorf("%s: status %d, verdict %+v; want 400 and a failed session", tc.query, code, v)
+		}
+	}
+
+	want := offline(t, data)
+	if want.Race == nil {
+		t.Fatal("planted race not detected offline")
+	}
+	code, v := submit(t, srv.Client(), srv.URL, "ok", bytes.NewReader(data), "?flight=64")
+	if code != http.StatusOK || v.Race == nil || v.Race.Message != want.Race.Message() {
+		t.Fatalf("later session: status %d, verdict %+v; want offline race %q", code, v, want.Race.Message())
+	}
+}
+
+// TestNamedStoreCountedOnce: naming the default backend leaves every
+// store metric unchanged. The factory hands the contribution a bare
+// store, and the analyzer's recorder instruments it once.
+func TestNamedStoreCountedOnce(t *testing.T) {
+	data := genTrace(t, safeCfg(3), "bin")
+	metrics := func(storeName string) [3]int64 {
+		src, _, err := tracebin.Open(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		factory, _, err := NewAnalyzerFactory(detector.OurContribution, src.Head().Ranks, storeName, 1, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.ReplayStream(src, factory, trace.ReplayOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		return [3]int64{reg.Total(obs.StoreInserts), reg.Total(obs.StoreDeletes), reg.Total(obs.StabVisited)}
+	}
+	want := metrics("")
+	if want[0] == 0 {
+		t.Fatal("default store recorded no inserts")
+	}
+	if got := metrics("avl"); got != want {
+		t.Errorf("store \"avl\": inserts, deletes, stabs = %v, want %v as with the default", got, want)
+	}
+}

@@ -36,7 +36,7 @@ type ReplayOpts struct {
 	Spans *span.Tracer
 	// FlightN, when positive, keeps per-owner flight recorders of the
 	// last FlightN replayed events; a detected race carries the owner's
-	// snapshot like the live engine's does.
+	// snapshot like the live engine's does. At most MaxFlight.
 	FlightN int
 	// Batch coalesces up to Batch consecutive access events per owner
 	// into one pooled event buffer fed through detector.AccessBatch —
@@ -81,6 +81,11 @@ type ReplayOpts struct {
 	// context attributes first (olog.Bind); nil discards.
 	Log *slog.Logger
 }
+
+// MaxFlight caps ReplayOpts.FlightN. Every owner's flight log
+// allocates its whole ring up front (88 bytes an entry), so the depth
+// is a memory request; 1,024 is 16× the default of 64.
+const MaxFlight = 1024
 
 // replayTick is the exported logical-time width of one replayed record
 // in nanoseconds: records render 1µs apart so Perfetto shows a readable
@@ -131,6 +136,9 @@ type ownerState struct {
 // value is bumped to lastTime+1, and a zero CallTime inherits Time, so
 // per-rank timestamps are always strictly monotonic after replay.
 func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opts ReplayOpts) (ReplayResult, error) {
+	if opts.FlightN > MaxFlight {
+		return ReplayResult{}, fmt.Errorf("trace: flight depth %d above the cap of %d", opts.FlightN, MaxFlight)
+	}
 	batch := opts.Batch
 	if batch < 1 || opts.FlightN > 0 || opts.Spans.Enabled() {
 		// Spans and the flight recorder observe record order; batching

@@ -26,6 +26,13 @@ import (
 	"rmarace/internal/obs/span"
 )
 
+// MaxRanks caps the world size a trace header may declare. Replay
+// sizes per-rank state from the header before it reads a record — the
+// MUST-RMA shared clock and the daemon's span rings — so both readers
+// refuse a larger header. It is the largest world Generate can write;
+// the 10,000-rank sweep traces fit.
+const MaxRanks = 1 << 15
+
 // Header opens a trace stream.
 type Header struct {
 	Kind string `json:"kind"` // always "header"
@@ -232,6 +239,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	if tr.Header.Kind != "header" {
 		return nil, fmt.Errorf("trace: first record is %q, not a header", tr.Header.Kind)
+	}
+	if tr.Header.Ranks < 0 || tr.Header.Ranks > MaxRanks {
+		return nil, fmt.Errorf("trace: header declares %d ranks, outside [0, %d]", tr.Header.Ranks, MaxRanks)
 	}
 	return tr, nil
 }

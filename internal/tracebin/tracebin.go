@@ -275,6 +275,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracebin: reading header ranks: %w", err)
 	}
+	if ranks > trace.MaxRanks {
+		return nil, fmt.Errorf("tracebin: header declares %d ranks, above the cap of %d", ranks, trace.MaxRanks)
+	}
 	wlen, err := t.readUvarint()
 	if err != nil {
 		return nil, fmt.Errorf("tracebin: reading header window: %w", err)

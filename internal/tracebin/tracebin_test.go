@@ -222,6 +222,10 @@ func TestCorruptStreams(t *testing.T) {
 			return b
 		}, "unsupported version"},
 		{"header cut mid-window", func() []byte { return good[: hdrLen-1 : hdrLen-1] }, "header window"},
+		{"header ranks above the cap", func() []byte {
+			b := append([]byte(nil), good[:5]...)
+			return binary.AppendUvarint(b, trace.MaxRanks+1)
+		}, "above the cap"},
 		{"EOF mid-record payload", func() []byte { return good[: len(good)-1 : len(good)-1] }, "unexpected EOF"},
 		{"EOF mid-length varint", func() []byte {
 			b := append([]byte(nil), good[:hdrLen]...)
