@@ -6,6 +6,8 @@ import (
 	"rmarace/internal/access"
 	"rmarace/internal/detector"
 	"rmarace/internal/interval"
+	"rmarace/internal/obs"
+	"rmarace/internal/store"
 )
 
 // TestReleaseRetiresConflatedRemoteFragments pins the fuzzer-found
@@ -85,5 +87,46 @@ func TestReleaseUnknownOwnerRetiresAllRMA(t *testing.T) {
 	z.Release(2)
 	if n := z.Nodes(); n != 0 {
 		t.Fatalf("unknown-owner release kept %d nodes", n)
+	}
+}
+
+// TestCompleteRequestVerdictIgnoresRecording pins that recording does
+// not change what a request's completion retires. The recorder wraps
+// the store in store.Instrumented, which must hand RemoveRankSpan to a
+// backend that has its own: the shadow store's Delete removes nothing,
+// so the generic trim kept the completed Rget's origin entry and the
+// owner's later write over that buffer raced.
+func TestCompleteRequestVerdictIgnoresRecording(t *testing.T) {
+	buf := interval.New(0, 7)
+	ev := func(tp access.Type, line int) detector.Event {
+		return detector.Event{Acc: access.Access{
+			Interval: buf, Type: tp, Rank: 1,
+			Debug: access.Debug{File: "f.c", Line: line},
+		}}
+	}
+	run := func(name string, recording bool) *detector.Race {
+		st, err := store.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []Option{WithOwner(0), WithStore(st)}
+		if recording {
+			opts = append(opts, WithRecorder(obs.NewRegistry(), 0))
+		}
+		z := New(opts...)
+		if r := z.Access(ev(access.RMARead, 1)); r != nil {
+			t.Fatalf("%s: the first access raced: %v", name, r)
+		}
+		z.CompleteRequest(1, buf)
+		return z.Access(ev(access.LocalWrite, 2))
+	}
+	for _, name := range store.Names() {
+		bare, recorded := run(name, false), run(name, true)
+		if (bare == nil) != (recorded == nil) {
+			t.Errorf("%s: race %v without a recorder, %v with one", name, bare, recorded)
+		}
+		if name != "legacy" && recorded != nil {
+			t.Errorf("%s: the write over a completed request's buffer raced: %v", name, recorded)
+		}
 	}
 }

@@ -44,11 +44,33 @@ type Tree struct {
 	// one-off spike does not pin memory forever.
 	free  *node
 	freeN int
-	// nb is StabNeighbors' reusable query state. Keeping it on the
-	// (heap-resident, single-owner) tree instead of in locals whose
-	// addresses are passed down the recursion keeps the hot path free
-	// of escape-forced allocations.
+	// nb is StabNeighbors' reusable query state for the overlap case.
+	// Keeping it on the (heap-resident, single-owner) tree instead of
+	// in locals whose addresses are passed down the recursion keeps the
+	// hot path free of escape-forced allocations.
 	nb nbQuery
+	// path is the root-to-leaf path of the last key descent, and fg
+	// says whether it is a finger the next mutation may reuse.
+	path [maxPath]*node
+	fg   finger
+}
+
+// maxPath bounds a root-to-leaf path. An AVL tree of height h holds at
+// least Fib(h+2)-1 nodes, so 64 levels exceed any tree that fits in
+// memory.
+const maxPath = 64
+
+// finger is what a StabNeighbors descent that found nothing overlapping
+// its query leaves for the mutation that follows it: the query, the
+// length of the recorded path (whose last node's nil child on side
+// left is where the query inserts), and the path indices of the
+// boundary neighbours. Every mutation invalidates it.
+type finger struct {
+	ok         bool
+	iv         interval.Interval
+	depth      int
+	left       bool
+	pred, succ int // neighbour path indices, -1 when absent
 }
 
 // nbQuery carries one StabNeighbors traversal's inputs and results.
@@ -158,29 +180,65 @@ func balance(n *node) *node {
 
 // Insert adds acc to the tree. Accesses with identical intervals are
 // both kept (the tree is a multiset, like the std::multiset RMA-Analyzer
-// uses); the detector's disjointness invariant makes this case
-// unreachable in normal operation.
+// uses): an equal key goes right of its twin. The detector's
+// disjointness invariant makes this case unreachable in normal
+// operation.
+//
+// When the last StabNeighbors queried acc's interval and found nothing
+// overlapping it, the node is linked at the slot that descent ended on
+// instead of searching again. Either way the path is rebalanced bottom
+// up, stopping at the first subtree whose height and maximum upper
+// bound the insertion left unchanged.
 func (t *Tree) Insert(acc access.Access) {
-	t.root = t.insert(t.root, acc)
+	d, left := t.fg.depth, t.fg.left
+	if !t.fg.ok || t.fg.iv != acc.Interval {
+		d = 0
+		for n := t.root; n != nil; d++ {
+			t.path[d] = n
+			left = acc.Interval.Compare(n.acc.Interval) < 0
+			if left {
+				n = n.left
+			} else {
+				n = n.right
+			}
+		}
+	}
+	t.fg.ok = false
 	t.size++
-}
-
-func (t *Tree) insert(n *node, acc access.Access) *node {
-	if n == nil {
-		return t.newNode(acc)
+	n := t.newNode(acc)
+	if d == 0 {
+		t.root = n
+		return
 	}
-	if acc.Interval.Compare(n.acc.Interval) < 0 {
-		n.left = t.insert(n.left, acc)
+	if p := t.path[d-1]; left {
+		p.left = n
 	} else {
-		n.right = t.insert(n.right, acc)
+		p.right = n
 	}
-	return balance(n)
+	for i := d - 1; i >= 0; i-- {
+		n := t.path[i]
+		h, m := n.height, n.maxHi
+		b := balance(n)
+		switch { // relink a rotated subtree into its parent
+		case b == n:
+		case i == 0:
+			t.root = b
+		case t.path[i-1].left == n:
+			t.path[i-1].left = b
+		default:
+			t.path[i-1].right = b
+		}
+		if b.height == h && b.maxHi == m {
+			return
+		}
+	}
 }
 
 // Delete removes the stored access whose interval equals iv and reports
 // whether such an access existed. When several accesses share the
 // interval an arbitrary one is removed.
 func (t *Tree) Delete(iv interval.Interval) bool {
+	t.fg.ok = false
 	var deleted bool
 	t.root, deleted = t.remove(t.root, iv)
 	if deleted {
@@ -227,43 +285,65 @@ func (t *Tree) remove(n *node, iv interval.Interval) (*node, bool) {
 // equals iv to newHi, in place, and reports whether the access was
 // found. Under the disjointness invariant the extension cannot cross
 // the successor's interval, so the node's position stays valid; only
-// the max-upper-bound augmentation is refreshed along the search path.
+// the max-upper-bound augmentation is raised along the path to it.
+// When iv is the left neighbour the last StabNeighbors returned, its
+// recorded path is reused instead of searching again.
 func (t *Tree) ExtendHi(iv interval.Interval, newHi uint64) bool {
 	if newHi < iv.Hi {
 		return false
 	}
-	return adjust(t.root, iv, func(a *access.Access) { a.Hi = newHi })
+	i := t.find(iv, t.fg.pred)
+	if i < 0 {
+		return false
+	}
+	t.path[i].acc.Hi = newHi
+	for ; i >= 0 && t.path[i].maxHi < newHi; i-- {
+		t.path[i].maxHi = newHi
+	}
+	return true
 }
 
 // ExtendLo lowers the lower bound of the stored access whose interval
 // equals iv to newLo, in place. Under the disjointness invariant the
 // extension cannot cross the predecessor's interval, so the ordering by
-// lower bound is preserved.
+// lower bound is preserved and no augmentation changes. When iv is the
+// right neighbour the last StabNeighbors returned, its recorded path is
+// reused instead of searching again.
 func (t *Tree) ExtendLo(iv interval.Interval, newLo uint64) bool {
 	if newLo > iv.Lo {
 		return false
 	}
-	return adjust(t.root, iv, func(a *access.Access) { a.Lo = newLo })
-}
-
-func adjust(n *node, iv interval.Interval, f func(*access.Access)) bool {
-	if n == nil {
+	i := t.find(iv, t.fg.succ)
+	if i < 0 {
 		return false
 	}
-	var ok bool
-	switch cmp := iv.Compare(n.acc.Interval); {
-	case cmp < 0:
-		ok = adjust(n.left, iv, f)
-	case cmp > 0:
-		ok = adjust(n.right, iv, f)
-	default:
-		f(&n.acc)
-		ok = true
+	t.path[i].acc.Lo = newLo
+	return true
+}
+
+// find invalidates the finger and returns the path index of the
+// stored access whose interval equals iv: nb, the finger's index of a
+// neighbour, when that neighbour is iv, else the end of a fresh key
+// descent, or -1 when iv is not stored.
+func (t *Tree) find(iv interval.Interval, nb int) int {
+	ok := t.fg.ok
+	t.fg.ok = false
+	if ok && nb >= 0 && t.path[nb].acc.Interval == iv {
+		return nb
 	}
-	if ok {
-		n.update()
+	d := 0
+	for n := t.root; n != nil; d++ {
+		t.path[d] = n
+		switch cmp := iv.Compare(n.acc.Interval); {
+		case cmp < 0:
+			n = n.left
+		case cmp > 0:
+			n = n.right
+		default:
+			return d
+		}
 	}
-	return ok
+	return -1
 }
 
 // Stab returns all stored accesses whose intervals intersect iv, in
@@ -313,7 +393,44 @@ func visitStab(n *node, iv interval.Interval, fn func(access.Access) bool) bool 
 // insertion hot path: one traversal yields everything Algorithm 1 needs
 // (the race check, the fragmentation input and the merge candidates).
 // dst's contents are only valid under the disjointness invariant.
+//
+// The query descends once by key, as Insert would, and records its
+// path. Under disjointness nothing intersects iv exactly when the last
+// node the descent passed going right (the in-order predecessor of
+// iv's slot) ends before iv and the last one passed going left (the
+// successor) starts after it; those two are then the only possible
+// neighbours. That path becomes the finger the next Insert of iv, or
+// extension of a returned neighbour, reuses. When something does
+// overlap, the full augmented traversal collects it.
 func (t *Tree) StabNeighbors(iv interval.Interval, dst *[]access.Access) (left, right access.Access, hasLeft, hasRight bool) {
+	pred, succ := -1, -1
+	d, goLeft := 0, false
+	for n := t.root; n != nil; d++ {
+		t.path[d] = n
+		goLeft = iv.Compare(n.acc.Interval) < 0
+		if goLeft {
+			succ = d
+			n = n.left
+		} else {
+			pred = d
+			n = n.right
+		}
+	}
+	if (pred < 0 || t.path[pred].acc.Hi < iv.Lo) && (succ < 0 || t.path[succ].acc.Lo > iv.Hi) {
+		if pred >= 0 && t.path[pred].acc.Hi+1 == iv.Lo {
+			left, hasLeft = t.path[pred].acc, true
+		} else {
+			pred = -1
+		}
+		if succ >= 0 && t.path[succ].acc.Lo-1 == iv.Hi {
+			right, hasRight = t.path[succ].acc, true
+		} else {
+			succ = -1
+		}
+		t.fg = finger{ok: true, iv: iv, depth: d, left: goLeft, pred: pred, succ: succ}
+		return left, right, hasLeft, hasRight
+	}
+	t.fg.ok = false
 	wide := iv
 	if wide.Lo > 0 {
 		wide.Lo--
@@ -390,6 +507,7 @@ func (t *Tree) Items() []access.Access {
 // reclaiming every node onto the free list so the next epoch's
 // insertions allocate nothing.
 func (t *Tree) Clear() {
+	t.fg.ok = false
 	t.reclaim(t.root)
 	t.root = nil
 	t.size = 0
@@ -401,10 +519,13 @@ func (t *Tree) Clear() {
 // tree state, so it is safe at any point. The bounded-memory trace
 // replay calls it at epoch boundaries (via store.Compact) to keep peak
 // RSS flat across many resident trees, at the price of re-allocating
-// nodes in the next epoch.
+// nodes in the next epoch. It also forgets the recorded search path,
+// so the path pins no node the free list let go of.
 func (t *Tree) ReleaseFree() {
 	t.free = nil
 	t.freeN = 0
+	t.fg.ok = false
+	t.path = [maxPath]*node{}
 }
 
 func (t *Tree) reclaim(n *node) {

@@ -40,7 +40,9 @@ func CheckShards(k int) error {
 // the daemon's sessions all analyse through it, so a served verdict is
 // produced by exactly the code path an offline replay uses. It returns
 // the MUST-RMA shared clock state (nil for the other methods) so
-// callers can publish its representation stats after the run.
+// callers can publish its representation stats after the run. MUST-RMA
+// sizes those clocks by ranks, so it is refused when the trace header
+// declares none.
 func NewAnalyzerFactory(method detector.Method, ranks int, storeName string, shards int, rec obs.Recorder) (func(int) detector.Analyzer, *detector.MustShared, error) {
 	// Validate the backend name and the shard count once, up front: the
 	// per-owner constructor below runs deep inside a replay loop where
@@ -54,6 +56,9 @@ func NewAnalyzerFactory(method detector.Method, ranks int, storeName string, sha
 	}
 	var shared *detector.MustShared
 	if method == detector.MustRMAMethod {
+		if ranks <= 0 {
+			return nil, nil, fmt.Errorf("serve: %s needs the trace header to declare its ranks", method)
+		}
 		shared = detector.NewMustShared(ranks)
 	}
 	recording := rec != nil && rec.Enabled()

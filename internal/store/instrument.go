@@ -123,6 +123,24 @@ func (s *Instrumented) RemoveRemote(owner int) {
 	}
 }
 
+// RemoveRankSpan implements SpanRemover. A backend with the capability
+// of its own runs it, counted like RemoveRemote: the shadow store's
+// Delete never removes anything, so the generic trim would keep the
+// completed entries. Otherwise the generic trim runs through the
+// decorator, which counts its deletes and reinserts one by one.
+func (s *Instrumented) RemoveRankSpan(rank int, iv interval.Interval) {
+	sr, ok := s.inner.(SpanRemover)
+	if !ok {
+		trimRankSpan(s, rank, iv)
+		return
+	}
+	before := s.inner.Len()
+	sr.RemoveRankSpan(rank, iv)
+	if removed := before - s.inner.Len(); removed > 0 {
+		s.rec.Add(obs.StoreDeletes, s.label, int64(removed))
+	}
+}
+
 // Walk implements AccessStore.
 func (s *Instrumented) Walk(fn func(access.Access) bool) { s.inner.Walk(fn) }
 
@@ -154,5 +172,7 @@ var (
 	_ NeighborStabber = (*Instrumented)(nil)
 	_ BatchInserter   = (*Instrumented)(nil)
 	_ RankRemover     = (*Instrumented)(nil)
+	_ RemoteRemover   = (*Instrumented)(nil)
+	_ SpanRemover     = (*Instrumented)(nil)
 	_ Extender        = (*instrumentedExtender)(nil)
 )

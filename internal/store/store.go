@@ -238,6 +238,12 @@ func RemoveRankSpan(s AccessStore, rank int, iv interval.Interval) {
 		sr.RemoveRankSpan(rank, iv)
 		return
 	}
+	trimRankSpan(s, rank, iv)
+}
+
+// trimRankSpan is RemoveRankSpan's generic fallback: stab iv, delete
+// rank's one-sided accesses there, and reinsert the parts outside iv.
+func trimRankSpan(s AccessStore, rank int, iv interval.Interval) {
 	var doomed []access.Access
 	s.Stab(iv, func(a access.Access) bool {
 		if a.Rank == rank && a.Type.IsRMA() {

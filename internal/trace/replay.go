@@ -135,6 +135,10 @@ type ownerState struct {
 // rely on. A record whose Time does not advance its rank's last seen
 // value is bumped to lastTime+1, and a zero CallTime inherits Time, so
 // per-rank timestamps are always strictly monotonic after replay.
+//
+// A record no analyzer can take ends the replay with an error naming
+// its position: a rank that is negative or, when the header declares a
+// rank count, not below it, and a complete record with lo above hi.
 func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opts ReplayOpts) (ReplayResult, error) {
 	if opts.FlightN > MaxFlight {
 		return ReplayResult{}, fmt.Errorf("trace: flight depth %d above the cap of %d", opts.FlightN, MaxFlight)
@@ -201,6 +205,9 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		rec.SetMax(obs.PeakRSS, 0, int64(ms.HeapAlloc))
 	}
 
+	// A record's rank must name a rank of the header's world, when the
+	// header declares one: the MUST-RMA clocks are indexed by it.
+	ranks := src.Head().Ranks
 	lastTime := make(map[int]uint64) // per issuing rank
 	epochT0 := make(map[int]int64)   // per owner, logical span start
 	epochN := make(map[int]int64)    // per owner, completed epochs
@@ -259,6 +266,9 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		}
 		if err != nil {
 			return res, err
+		}
+		if r.Rank < 0 || (ranks > 0 && r.Rank >= ranks) {
+			return res, fmt.Errorf("trace: %s: rank %d outside the header's %d ranks", src.Pos(), r.Rank, ranks)
 		}
 		step++
 		if prog != nil && step%progressEvery == 0 {
@@ -326,6 +336,9 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 			}
 			st.a.Release(r.Rank)
 		case "complete":
+			if r.Hi < r.Lo {
+				return res, fmt.Errorf("trace: %s: inverted interval [%d, %d]", src.Pos(), r.Lo, r.Hi)
+			}
 			st := get(r.Owner)
 			if race := flush(st); race != nil {
 				return stamp(r.Owner, st, race), nil
