@@ -117,7 +117,7 @@ TRACE may be JSON Lines or the RMTB binary format; replay, convert and
         postmortem sniff the leading bytes and pick the right decoder
 -shards splits the contribution analyzer into K address-space shards
         (a power of two, at most 64), analysed serially
--batch coalesces up to N access events per owner into pooled batches
+-batch coalesces up to N access events per owner into one batch
 -evict retires a (rank,window) analyzer after K accessless epochs
 -compact releases retained analyzer capacity at every epoch boundary
 convert rewrites a trace into the other format losslessly (-to forces
@@ -160,7 +160,7 @@ type replayObs struct {
 	telemetry string // live HTTP server address
 	spans     string // Chrome trace-event JSON output path
 	flight    int    // flight-recorder depth per window owner
-	batch     int    // pooled event-batch size per owner
+	batch     int    // event-batch size per owner
 	evict     int    // cold-epoch threshold for analyzer eviction
 	compact   bool   // release retained capacity at epoch boundaries
 }
@@ -437,7 +437,7 @@ func replayCmd(args []string) {
 	telAddr := fs.String("telemetry", "", "serve live /metrics, /report, /healthz and /debug/pprof on this address during the replay")
 	spansPath := fs.String("spans", "", "write the replay's causal spans (Chrome trace-event JSON) to this path")
 	flight := fs.Int("flight", 0, "flight-recorder depth per window owner (0 disables)")
-	batch := fs.Int("batch", 0, "coalesce up to N access events per owner into pooled batches (<2 keeps the per-event path)")
+	batch := fs.Int("batch", 0, "coalesce up to N access events per owner into one batch (<2 keeps the per-event path)")
 	evict := fs.Int("evict", 0, "retire a (rank,window) analyzer after K consecutive accessless epochs (0 disables)")
 	compact := fs.Bool("compact", false, "release retained analyzer capacity at every epoch boundary")
 	_ = fs.Parse(args)

@@ -509,15 +509,15 @@ func (e *Engine) Close() {
 
 // GetEventBuf takes a reusable event slice (length 0) from the engine's
 // pool, for callers assembling a Notify batch; the engine recycles the
-// slice after analysis. Falls back to the process-wide pool (the
-// package-level GetEventBuf), so buffers cycle between engines and the
-// streaming trace replay too.
+// slice after analysis. Falls back to the process-wide free list, so
+// buffers cycle between engines: a live session builds a new engine and
+// still reuses the slices its predecessors returned.
 func (e *Engine) GetEventBuf() []detector.Event {
 	select {
 	case b := <-e.evFree:
 		return b
 	default:
-		return GetEventBuf()
+		return getEventBuf()
 	}
 }
 
@@ -533,21 +533,20 @@ func (e *Engine) PutEventBuf(evs []detector.Event) {
 	select {
 	case e.evFree <- evs[:0]:
 	default:
-		PutEventBuf(evs)
+		putEventBuf(evs)
 	}
 }
 
-// sharedEvFree is the process-wide event-buffer free list behind the
-// package-level GetEventBuf/PutEventBuf: the same pooled batch slices
-// the engines' notification pipelines cycle, shared with callers that
-// batch events outside any engine (the streaming trace replay). A
-// buffered channel, like the per-engine pools: contention is two
-// CAS-ish operations and nothing is dropped on GC.
+// sharedEvFree is the process-wide event-buffer free list behind
+// getEventBuf/putEventBuf: the overflow of every engine's own pool, so
+// batch slices outlive the engine that made them. A buffered channel,
+// like the per-engine pools: contention is two CAS-ish operations and
+// nothing is dropped on GC.
 var sharedEvFree = make(chan []detector.Event, 256)
 
-// GetEventBuf takes a reusable event slice (length 0) from the
-// process-wide pool; plain make when the pool is empty.
-func GetEventBuf() []detector.Event {
+// getEventBuf takes a reusable event slice (length 0) from the
+// process-wide free list; plain make when the list is empty.
+func getEventBuf() []detector.Event {
 	select {
 	case b := <-sharedEvFree:
 		return b
@@ -556,8 +555,8 @@ func GetEventBuf() []detector.Event {
 	}
 }
 
-// PutEventBuf returns an event slice to the process-wide pool.
-func PutEventBuf(evs []detector.Event) {
+// putEventBuf returns an event slice to the process-wide free list.
+func putEventBuf(evs []detector.Event) {
 	if cap(evs) == 0 {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,6 +30,15 @@ var malformedTraces = []struct {
 `},
 	{"zero-rank-header", []string{"must-rma"}, `{"kind":"header","ranks":0,"window":"w"}
 {"kind":"access","owner":0,"rank":0,"lo":0,"hi":7,"type":"rma_write"}
+`},
+	{"negative-owner", []string{"our-contribution"}, `{"kind":"header","ranks":2,"window":"w"}
+{"kind":"access","owner":-1,"rank":0,"lo":0,"hi":7,"type":"rma_write"}
+`},
+	{"owner-at-cap", []string{"our-contribution"}, `{"kind":"header","ranks":2,"window":"w"}
+{"kind":"epoch_end","owner":` + strconv.Itoa(trace.MaxOwners) + `}
+`},
+	{"rank-at-cap-without-header-ranks", []string{"our-contribution"}, `{"kind":"header","ranks":0,"window":"w"}
+{"kind":"access","owner":0,"rank":` + strconv.Itoa(trace.MaxRanks) + `,"lo":0,"hi":7,"type":"rma_write"}
 `},
 }
 

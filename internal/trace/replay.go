@@ -6,10 +6,8 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"sort"
 
 	"rmarace/internal/detector"
-	"rmarace/internal/engine"
 	"rmarace/internal/interval"
 	"rmarace/internal/obs"
 	"rmarace/internal/obs/olog"
@@ -39,7 +37,7 @@ type ReplayOpts struct {
 	// snapshot like the live engine's does. At most MaxFlight.
 	FlightN int
 	// Batch coalesces up to Batch consecutive access events per owner
-	// into one pooled event buffer fed through detector.AccessBatch —
+	// into one event batch fed through detector.AccessBatch —
 	// the engine's notification-batch shape, which unlocks the
 	// contribution's adjacent-merge fast path on replays too. Values
 	// below 2 keep the per-event path. Batches are flushed before any
@@ -87,6 +85,12 @@ type ReplayOpts struct {
 // is a memory request; 1,024 is 16× the default of 64.
 const MaxFlight = 1024
 
+// MaxOwners bounds a record's owner. Replay indexes its per-owner state
+// by owner, and owners number (window, rank) streams, not ranks
+// (fuzz.Render writes win*Ranks + rank), so the cap is its own: 2^20
+// keeps the owner table at most 8 MiB.
+const MaxOwners = 1 << 20
+
 // replayTick is the exported logical-time width of one replayed record
 // in nanoseconds: records render 1µs apart so Perfetto shows a readable
 // timeline regardless of the trace's own counters.
@@ -109,11 +113,13 @@ const (
 const progressEvery = 256
 
 // ownerState is one owner's resident replay state: its analyzer, the
-// optional flight recorder, the pending pooled event batch, and the
-// cold-epoch counter of the eviction policy.
+// optional flight recorder, the pending event batch, and the cold-epoch
+// counter of the eviction policy.
 type ownerState struct {
-	a       detector.Analyzer
-	flight  *detector.FlightLog
+	a      detector.Analyzer
+	flight *detector.FlightLog
+	// pending grows by append as the owner's accesses arrive, up to the
+	// batch size, so an owner that sees few accesses holds a small batch.
 	pending []detector.Event
 	// sawAccess records whether the owner saw any access since its last
 	// epoch boundary; coldEpochs counts consecutive accessless epochs.
@@ -125,8 +131,10 @@ type ownerState struct {
 // implementing Source — through per-owner analyzers built by
 // newAnalyzer, stopping at the first race like the on-the-fly tools.
 // The stream is consumed with bounded memory: one reusable record
-// buffer, pooled event batches (ReplayOpts.Batch), and optionally the
-// cold-owner eviction and epoch-boundary compaction policies.
+// buffer, per-owner event batches sized by use (ReplayOpts.Batch), and
+// optionally the cold-owner eviction and epoch-boundary compaction
+// policies. Per-rank timestamps and per-owner state live in slices
+// indexed by rank and owner.
 //
 // Replayed records get their timestamps normalised per issuing rank:
 // traces written without Time/CallTime (or with stale counters) would
@@ -137,8 +145,10 @@ type ownerState struct {
 // per-rank timestamps are always strictly monotonic after replay.
 //
 // A record no analyzer can take ends the replay with an error naming
-// its position: a rank that is negative or, when the header declares a
-// rank count, not below it, and a complete record with lo above hi.
+// its position: a rank that is negative or not below the header's rank
+// count (MaxRanks when the header declares none), an owner that is
+// negative or not below MaxOwners, and a complete record with lo above
+// hi.
 func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opts ReplayOpts) (ReplayResult, error) {
 	if opts.FlightN > MaxFlight {
 		return ReplayResult{}, fmt.Errorf("trace: flight depth %d above the cap of %d", opts.FlightN, MaxFlight)
@@ -157,14 +167,13 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 	// cached bool per rare event, not a handler call per record.
 	logOn := log.Enabled(context.Background(), slog.LevelDebug)
 	prog.SetStage(obs.StageIngesting)
-	owners := make(map[int]*ownerState)
+	// owners is indexed by owner; an evicted owner's slot is nil.
+	var owners []*ownerState
 	get := func(owner int) *ownerState {
-		st, ok := owners[owner]
-		if !ok {
+		owners = grow(owners, owner)
+		st := owners[owner]
+		if st == nil {
 			st = &ownerState{a: newAnalyzer(owner)}
-			if batch > 1 {
-				st.pending = engine.GetEventBuf()
-			}
 			if opts.FlightN > 0 {
 				st.flight = detector.NewFlightLog(opts.FlightN)
 			}
@@ -181,22 +190,19 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		st.pending = st.pending[:0]
 		return race
 	}
-	// finish folds one owner's high-water mark into the result and
-	// returns its event buffer to the pool. Every owner is finished
-	// exactly once: on eviction, or when the replay ends (at EOF or on a
-	// race stop) while it is still resident.
+	// finish folds one owner's high-water mark into the result. Every
+	// owner is finished exactly once: on eviction, or when the replay
+	// ends (at EOF or on a race stop) while it is still resident.
 	finish := func(st *ownerState) {
 		if n := st.a.MaxNodes(); n > res.MaxNodes {
 			res.MaxNodes = n
 		}
-		if st.pending != nil {
-			engine.PutEventBuf(st.pending)
-			st.pending = nil
-		}
 	}
 	finishResident := func() {
 		for _, st := range owners {
-			finish(st)
+			if st != nil {
+				finish(st)
+			}
 		}
 	}
 	recordPeak := func() {
@@ -206,13 +212,18 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 	}
 
 	// A record's rank must name a rank of the header's world, when the
-	// header declares one: the MUST-RMA clocks are indexed by it.
+	// header declares one: the MUST-RMA clocks are indexed by it. Without
+	// one, MaxRanks bounds the rank-indexed timestamps.
 	ranks := src.Head().Ranks
-	lastTime := make(map[int]uint64) // per issuing rank
-	epochT0 := make(map[int]int64)   // per owner, logical span start
-	epochN := make(map[int]int64)    // per owner, completed epochs
-	var step int64                   // logical clock: one tick per replayed record
-	var flushedBytes int64           // ingest bytes already credited to the recorder
+	rankCap := ranks
+	if rankCap == 0 {
+		rankCap = MaxRanks
+	}
+	var lastTime []uint64          // per issuing rank
+	epochT0 := make(map[int]int64) // per owner, logical span start
+	epochN := make(map[int]int64)  // per owner, completed epochs
+	var step int64                 // logical clock: one tick per replayed record
+	var flushedBytes int64         // ingest bytes already credited to the recorder
 	// finishIngest credits the counters' unflushed remainder and takes a
 	// final live-heap sample; it runs at EOF and on an early race stop.
 	finishIngest := func() {
@@ -267,8 +278,14 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		if err != nil {
 			return res, err
 		}
-		if r.Rank < 0 || (ranks > 0 && r.Rank >= ranks) {
+		if r.Rank < 0 || r.Rank >= rankCap {
+			if ranks == 0 {
+				return res, fmt.Errorf("trace: %s: rank %d outside [0, %d) under a header without ranks", src.Pos(), r.Rank, MaxRanks)
+			}
 			return res, fmt.Errorf("trace: %s: rank %d outside the header's %d ranks", src.Pos(), r.Rank, ranks)
+		}
+		if r.Owner < 0 || r.Owner >= MaxOwners {
+			return res, fmt.Errorf("trace: %s: owner %d outside [0, %d)", src.Pos(), r.Owner, MaxOwners)
 		}
 		step++
 		if prog != nil && step%progressEvery == 0 {
@@ -287,10 +304,11 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		}
 		switch r.Kind {
 		case "access":
-			ev, err := r.Event()
+			ev, err := r.event()
 			if err != nil {
 				return res, fmt.Errorf("trace: %s: %w", src.Pos(), err)
 			}
+			lastTime = grow(lastTime, r.Rank)
 			if ev.Time <= lastTime[r.Rank] {
 				ev.Time = lastTime[r.Rank] + 1
 			}
@@ -388,7 +406,7 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 				// across epochs (shadow cells, clock state) stays resident.
 				if st.coldEpochs >= opts.EvictCold && st.a.Nodes() == 0 {
 					finish(st)
-					delete(owners, r.Owner)
+					owners[r.Owner] = nil
 					res.Evictions++
 					prog.AddEviction()
 					if recOn {
@@ -403,14 +421,11 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 			return res, fmt.Errorf("trace: %s: unknown record kind %q", src.Pos(), r.Kind)
 		}
 	}
-	// Final flush in deterministic owner order, then fold the survivors.
-	ids := make([]int, 0, len(owners))
-	for o := range owners {
-		ids = append(ids, o)
-	}
-	sort.Ints(ids)
-	for _, o := range ids {
-		st := owners[o]
+	// Final flush in owner order, then fold the survivors.
+	for o, st := range owners {
+		if st == nil {
+			continue
+		}
 		if race := flush(st); race != nil {
 			return stamp(o, st, race), nil
 		}
@@ -421,4 +436,12 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 		log.Debug("replay drained", "records", step, "events", res.Events, "epochs", res.Epochs, "evictions", res.Evictions)
 	}
 	return res, nil
+}
+
+// grow returns s extended with zero values so that i indexes it.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -212,5 +213,40 @@ func TestReplayRecordsIngestMetrics(t *testing.T) {
 	}
 	if got := reg.Total(obs.PeakRSS); got <= 0 {
 		t.Errorf("peak_rss_bytes = %d, want > 0", got)
+	}
+}
+
+// TestBatchMemoryFollowsUse: an owner's pending batch grows with its
+// accesses, so a thousand owners that see one access per epoch hold a
+// thousand one-event batches, not a thousand full-size ones. A 128-slot
+// batch of 104-byte events is 13 KB, so full-size batches for 1,000
+// owners would allocate about 13 MB.
+func TestBatchMemoryFollowsUse(t *testing.T) {
+	const owners, epochs = 1000, 3
+	var recs []Record
+	for e := 0; e < epochs; e++ {
+		for o := 0; o < owners; o++ {
+			recs = append(recs, Record{Kind: "access", Owner: o, Rank: o % 4, Lo: uint64(8 * o), Hi: uint64(8*o + 7), Type: "rma_write", Epoch: uint64(e)})
+		}
+		for o := 0; o < owners; o++ {
+			recs = append(recs, Record{Kind: "epoch_end", Owner: o})
+		}
+	}
+	src := NewRecordSource(Header{Ranks: 4, Window: "w"}, recs)
+	newBaseline := func(int) detector.Analyzer { return detector.NewBaseline() }
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := ReplayStream(src, newBaseline, ReplayOpts{Batch: 64})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != owners*epochs || res.Epochs != owners*epochs {
+		t.Fatalf("replayed %d events and %d epochs, want %d of each", res.Events, res.Epochs, owners*epochs)
+	}
+	const bound = 1 << 20 // one-event batches total ~0.2 MB here
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("replay allocated %d bytes, want at most %d", got, bound)
 	}
 }

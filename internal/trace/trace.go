@@ -84,8 +84,9 @@ var typeNames = [...]string{
 }
 
 func typeFromName(s string) (access.Type, error) {
-	for t, n := range typeNames {
-		if n == s {
+	// By index: ranging over the array by value would copy it per call.
+	for t := range typeNames {
+		if typeNames[t] == s {
 			return access.Type(t), nil
 		}
 	}
@@ -351,7 +352,10 @@ func (s *RecordSource) BytesRead() int64 { return int64(s.i) }
 var _ Source = (*RecordSource)(nil)
 
 // Event converts an access record back to a detector event.
-func (rec Record) Event() (detector.Event, error) {
+func (rec Record) Event() (detector.Event, error) { return rec.event() }
+
+// event is Event without copying the record, for the replay loop.
+func (rec *Record) event() (detector.Event, error) {
 	if rec.Kind != "access" {
 		return detector.Event{}, fmt.Errorf("trace: record kind %q is not an access", rec.Kind)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"testing/iotest"
 
 	"rmarace/internal/trace"
 )
@@ -12,7 +13,11 @@ import (
 // input, the reader must return a descriptive error or a clean EOF —
 // never panic, never loop, never allocate past the payload cap. Valid
 // prefixes decode; the corpus seeds a well-formed stream so mutations
-// explore the record space, not just the header.
+// explore the record space, not just the header. The decoder must also
+// give the same results however its input arrives: read one byte at a
+// time, where every record spans a refill of the input window, it
+// returns the same records, errors, positions and byte counts as from
+// one bytes.Reader.
 func FuzzReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, trace.Header{Ranks: 4, Window: "w"})
@@ -30,25 +35,59 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		r, err := NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return
-		}
-		var rec trace.Record
-		for i := 0; i < 1<<16; i++ {
-			err := r.Read(&rec)
-			if err == io.EOF {
-				// A cleanly decoded stream must re-encode losslessly.
-				return
+		whole := readAll(bytes.NewReader(raw))
+		for _, ev := range whole {
+			if ev.err != nil && ev.err.Error() == "" {
+				t.Fatal("empty error message")
 			}
-			if err != nil {
-				if err.Error() == "" {
-					t.Fatal("empty error message")
-				}
-				return
+		}
+		split := readAll(iotest.OneByteReader(bytes.NewReader(raw)))
+		if len(split) != len(whole) {
+			t.Fatalf("one byte at a time: %d reads, want %d", len(split), len(whole))
+		}
+		for i := range whole {
+			if !split[i].equal(whole[i]) {
+				t.Fatalf("read %d one byte at a time = %+v, want %+v", i, split[i], whole[i])
 			}
 		}
 	})
+}
+
+// readStep is what one decoder call observed: the header (first step
+// only) or record, or the error, and the reader's position and byte
+// count after it.
+type readStep struct {
+	hdr  trace.Header
+	rec  trace.Record
+	err  error
+	pos  string
+	read int64
+}
+
+func (s readStep) equal(o readStep) bool {
+	if (s.err == nil) != (o.err == nil) || s.err != nil && s.err.Error() != o.err.Error() {
+		return false
+	}
+	return s.hdr == o.hdr && s.rec == o.rec && s.pos == o.pos && s.read == o.read
+}
+
+// readAll decodes src to its end: the header (or its error) first, then
+// every Read up to and including the first error or EOF.
+func readAll(src io.Reader) []readStep {
+	r, err := NewReader(src)
+	if err != nil {
+		return []readStep{{err: err}}
+	}
+	steps := []readStep{{hdr: r.Head(), read: r.BytesRead()}}
+	for i := 0; i < 1<<16; i++ {
+		var rec trace.Record
+		err := r.Read(&rec)
+		steps = append(steps, readStep{rec: rec, err: err, pos: r.Pos(), read: r.BytesRead()})
+		if err != nil {
+			break
+		}
+	}
+	return steps
 }
 
 // FuzzRoundTrip mutates record fields and asserts binary encode→decode

@@ -30,13 +30,14 @@
 // interval's upper bound is delta-encoded against the lower, so the
 // short per-element accesses that dominate real traces stay one byte.
 //
-// The Reader is a zero-allocation streaming decoder over a bufio.Reader:
-// one reusable payload buffer, the interned file-name table, and
-// constant strings for kinds and access types — steady-state Read calls
-// allocate nothing. Both Reader and Writer implement the trace.Source /
-// trace.Sink interfaces, so replay, generation and conversion code is
-// format-agnostic; Open sniffs the magic and returns the right Source
-// for either format.
+// The Reader is a zero-allocation streaming decoder: records decode in
+// place from one input window refilled from the source, each body in
+// one loop over its fixed field layout, with the interned file-name
+// table and constant strings for kinds and access types — steady-state
+// Read calls allocate nothing. Both Reader and Writer implement the
+// trace.Source / trace.Sink interfaces, so replay, generation and
+// conversion code is format-agnostic; Open sniffs the magic and returns
+// the right Source for either format.
 package tracebin
 
 import (
@@ -238,60 +239,75 @@ var _ trace.Sink = (*Writer)(nil)
 
 // Reader is the zero-allocation streaming decoder. It implements
 // trace.Source.
+//
+// Every record is decoded in place from one input window: win[pos:end]
+// holds bytes read from src and not yet decoded. A record that is not
+// wholly buffered triggers a refill, which slides the undecoded tail to
+// the window's front and, for a record larger than the whole window,
+// grows the window up to maxPayload.
 type Reader struct {
-	r     *bufio.Reader
-	hdr   trace.Header
-	files []string // id-1 indexed intern table
-	buf   []byte   // reusable payload buffer
-	recN  int      // 1-based index of the last record returned
-	off   int64    // byte offset where the last record started
-	read  int64    // total bytes consumed
+	src      io.Reader
+	win      []byte
+	pos, end int
+	err      error // src's sticky error; io.EOF once it is exhausted
+	hdr      trace.Header
+	files    []string // id-1 indexed intern table
+	recN     int      // 1-based index of the last record returned
+	off      int64    // byte offset where the last record started
+	read     int64    // total bytes consumed
 }
+
+// windowSize is the input window's initial size: one refill holds
+// thousands of typical records.
+const windowSize = 1 << 16
+
+// maxEmptyReads is how many consecutive empty reads from the source a
+// refill tolerates before failing with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
 
 // NewReader opens a binary trace stream and decodes its header.
 func NewReader(r io.Reader) (*Reader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
+	t := &Reader{src: r, win: make([]byte, windowSize)}
+	if err := t.readHeader(); err != nil {
+		return nil, err
 	}
-	t := &Reader{r: br}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("tracebin: reading magic: %w", eofIsUnexpected(err))
+	return t, nil
+}
+
+// readHeader decodes the stream header off the window's front.
+func (t *Reader) readHeader() error {
+	if !t.fill(len(Magic)) {
+		return fmt.Errorf("tracebin: reading magic: %w", eofIsUnexpected(t.err))
 	}
-	t.read += 4
-	if magic != Magic {
-		return nil, fmt.Errorf("tracebin: bad magic %q (want %q)", magic[:], Magic[:])
+	magic := t.take(len(Magic))
+	if !bytes.Equal(magic, Magic[:]) {
+		return fmt.Errorf("tracebin: bad magic %q (want %q)", magic, Magic[:])
 	}
-	ver, err := br.ReadByte()
+	if !t.fill(1) {
+		return fmt.Errorf("tracebin: reading version: %w", eofIsUnexpected(t.err))
+	}
+	if ver := t.take(1)[0]; ver != Version {
+		return fmt.Errorf("tracebin: unsupported version %d (have %d)", ver, Version)
+	}
+	ranks, err := t.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("tracebin: reading version: %w", eofIsUnexpected(err))
-	}
-	t.read++
-	if ver != Version {
-		return nil, fmt.Errorf("tracebin: unsupported version %d (have %d)", ver, Version)
-	}
-	ranks, err := t.readUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("tracebin: reading header ranks: %w", err)
+		return fmt.Errorf("tracebin: reading header ranks: %w", err)
 	}
 	if ranks > trace.MaxRanks {
-		return nil, fmt.Errorf("tracebin: header declares %d ranks, above the cap of %d", ranks, trace.MaxRanks)
+		return fmt.Errorf("tracebin: header declares %d ranks, above the cap of %d", ranks, trace.MaxRanks)
 	}
-	wlen, err := t.readUvarint()
+	wlen, err := t.uvarint()
 	if err != nil {
-		return nil, fmt.Errorf("tracebin: reading header window: %w", err)
+		return fmt.Errorf("tracebin: reading header window: %w", err)
 	}
 	if wlen > maxPayload {
-		return nil, fmt.Errorf("tracebin: header window length %d exceeds limit %d", wlen, maxPayload)
+		return fmt.Errorf("tracebin: header window length %d exceeds limit %d", wlen, maxPayload)
 	}
-	win := make([]byte, wlen)
-	if _, err := io.ReadFull(br, win); err != nil {
-		return nil, fmt.Errorf("tracebin: reading header window: %w", eofIsUnexpected(err))
+	if !t.fill(int(wlen)) {
+		return fmt.Errorf("tracebin: reading header window: %w", eofIsUnexpected(t.err))
 	}
-	t.read += int64(wlen)
-	t.hdr = trace.Header{Kind: "header", Ranks: int(ranks), Window: string(win)}
-	return t, nil
+	t.hdr = trace.Header{Kind: "header", Ranks: int(ranks), Window: string(t.take(int(wlen)))}
+	return nil
 }
 
 // eofIsUnexpected maps a bare io.EOF to io.ErrUnexpectedEOF: the callers
@@ -303,27 +319,66 @@ func eofIsUnexpected(err error) error {
 	return err
 }
 
-// readUvarint reads one LEB128 varint off the stream, tracking consumed
-// bytes and rejecting encodings longer than 64 bits.
-func (t *Reader) readUvarint() (uint64, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := t.r.ReadByte()
-		if err != nil {
-			return 0, eofIsUnexpected(err)
+// fill reads from src until at least n undecoded bytes are buffered,
+// and reports whether they are; false means src failed first (t.err).
+// n must not exceed maxPayload. Decoded bytes before pos may be
+// overwritten, so slices of the window die at the next fill.
+func (t *Reader) fill(n int) bool {
+	for empty := 0; t.end-t.pos < n; {
+		if t.err != nil {
+			return false
 		}
-		t.read++
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, fmt.Errorf("varint overflows 64 bits")
+		if len(t.win)-t.pos < n {
+			win := t.win
+			if len(win) < n {
+				win = make([]byte, min(max(2*len(win), n), maxPayload))
 			}
-			return x | uint64(b)<<s, nil
+			t.end = copy(win, t.win[t.pos:t.end])
+			t.pos = 0
+			t.win = win
 		}
-		x |= uint64(b&0x7f) << s
-		s += 7
+		m, err := t.src.Read(t.win[t.end:])
+		t.end += m
+		if err != nil {
+			t.err = err
+		} else if m > 0 {
+			empty = 0
+		} else if empty++; empty == maxEmptyReads {
+			t.err = io.ErrNoProgress
+		}
 	}
-	return 0, fmt.Errorf("varint overflows 64 bits")
+	return true
+}
+
+// take consumes n buffered bytes and returns them, aliasing the window.
+func (t *Reader) take(n int) []byte {
+	b := t.win[t.pos : t.pos+n]
+	t.pos += n
+	t.read += int64(n)
+	return b
+}
+
+// uvarint consumes one LEB128 varint off the stream, refilling only as
+// far as its bytes reach. Like a byte-at-a-time reader it fails with an
+// overflow once ten bytes carry no terminator, and with a truncation
+// when the stream ends first.
+func (t *Reader) uvarint() (uint64, error) {
+	for {
+		buf := t.win[t.pos:t.end]
+		x, n := binary.Uvarint(buf)
+		if n > 0 {
+			t.take(n)
+			return x, nil
+		}
+		if n < 0 || len(buf) >= binary.MaxVarintLen64 {
+			t.take(binary.MaxVarintLen64)
+			return 0, fmt.Errorf("varint overflows 64 bits")
+		}
+		if !t.fill(len(buf) + 1) {
+			t.take(len(buf))
+			return 0, eofIsUnexpected(t.err)
+		}
+	}
 }
 
 // Head implements trace.Source.
@@ -349,207 +404,211 @@ func (t *Reader) Read(rec *trace.Record) error {
 	for {
 		t.off = t.read
 		t.recN++
-		// A clean EOF is only legal before the length prefix's first byte.
-		if _, err := t.r.Peek(1); err != nil {
-			if err == io.EOF {
-				t.recN--
-				return io.EOF
-			}
-			return t.errAt(err)
-		}
-		plen, err := t.readUvarint()
+		p, err := t.next()
 		if err != nil {
-			return t.errAt(fmt.Errorf("record length: %w", err))
+			return err
 		}
-		if plen > maxPayload {
-			return t.errAt(fmt.Errorf("record length %d exceeds limit %d", plen, maxPayload))
-		}
-		if plen == 0 {
-			return t.errAt(fmt.Errorf("empty record"))
-		}
-		if uint64(cap(t.buf)) < plen {
-			t.buf = make([]byte, plen)
-		}
-		p := t.buf[:plen]
-		if _, err := io.ReadFull(t.r, p); err != nil {
-			return t.errAt(fmt.Errorf("record payload: %w", eofIsUnexpected(err)))
-		}
-		t.read += int64(plen)
-		kind := p[0]
-		if kind == kindFileDef {
-			if err := t.internFile(p[1:]); err != nil {
+		switch kind, body := p[0], p[1:]; kind {
+		case kindAccess:
+			err = t.decodeAccess(body, rec)
+		case kindFileDef:
+			if err := t.internFile(body); err != nil {
 				return t.errAt(err)
 			}
 			continue
+		default:
+			err = decodeSync(kind, body, rec)
 		}
-		if err := t.decode(kind, p[1:], rec); err != nil {
+		if err != nil {
 			return t.errAt(err)
 		}
 		return nil
 	}
 }
 
-// internFile decodes a fileDef payload into the string table.
-func (t *Reader) internFile(p []byte) error {
-	d := payload(p)
-	id, err := d.uvarint("file id")
+// next frames the next record and returns its non-empty payload, which
+// aliases the window until the following call.
+func (t *Reader) next() ([]byte, error) {
+	// The common case: a one-byte length and the whole record buffered.
+	if buf := t.win[t.pos:t.end]; len(buf) > 0 {
+		if n := int(buf[0]); n > 0 && n < 0x80 && n < len(buf) {
+			return t.take(1 + n)[1:], nil
+		}
+	}
+	// A clean EOF is only legal before the length prefix's first byte.
+	if !t.fill(1) {
+		if t.err == io.EOF {
+			t.recN--
+			return nil, io.EOF
+		}
+		return nil, t.errAt(t.err)
+	}
+	plen, err := t.uvarint()
+	if err != nil {
+		return nil, t.errAt(fmt.Errorf("record length: %w", err))
+	}
+	if plen > maxPayload {
+		return nil, t.errAt(fmt.Errorf("record length %d exceeds limit %d", plen, maxPayload))
+	}
+	if plen == 0 {
+		return nil, t.errAt(fmt.Errorf("empty record"))
+	}
+	if !t.fill(int(plen)) {
+		return nil, t.errAt(fmt.Errorf("record payload: %w", eofIsUnexpected(t.err)))
+	}
+	return t.take(int(plen)), nil
+}
+
+// A layout is a record body's wire layout: its field names in order,
+// and a mask of the fields that are one raw byte; the rest are uvarints.
+type layout struct {
+	names []string
+	raw   uint32
+}
+
+// The access body's fields, as indexes into accessLayout.
+const (
+	aFlags = iota
+	aOwner
+	aRank
+	aLo
+	aSpan
+	aType
+	aEpoch
+	aTime
+	aCallTime
+	aAccumOp
+	aStackID
+	aFileID
+	aLine
+	accessFields
+)
+
+var (
+	accessLayout = layout{
+		names: []string{"flags", "owner", "rank", "lo", "interval span", "type",
+			"epoch", "time", "call time", "accum op", "stack id", "file id", "line"},
+		raw: 1<<aFlags | 1<<aType | 1<<aAccumOp,
+	}
+	// syncLayout is the body of the synchronisation records: epoch_end
+	// carries its first field, release its first two, complete all four.
+	syncLayout    = layout{names: []string{"owner", "rank", "lo", "interval span"}}
+	fileDefLayout = layout{names: []string{"file id", "file name length"}}
+)
+
+// decode reads l's fields off the front of p into v in one pass,
+// decoding one-byte varints inline. It returns how many fields it
+// decoded, the bytes after them, and, if it stopped early, an error
+// naming the field it stopped at.
+func (l layout) decode(p []byte, v []uint64) (int, []byte, error) {
+	i := 0
+	for f := range l.names {
+		if i < len(p) && (p[i] < 0x80 || l.raw&(1<<f) != 0) {
+			v[f] = uint64(p[i])
+			i++
+			continue
+		}
+		if l.raw&(1<<f) != 0 {
+			return f, nil, fmt.Errorf("access record truncated before %s", l.names[f])
+		}
+		x, n := binary.Uvarint(p[i:])
+		if n == 0 {
+			return f, nil, fmt.Errorf("%s: record truncated mid-varint", l.names[f])
+		}
+		if n < 0 {
+			return f, nil, fmt.Errorf("%s: varint overflows 64 bits", l.names[f])
+		}
+		v[f] = x
+		i += n
+	}
+	return len(l.names), p[i:], nil
+}
+
+// trailing reports bytes left after a record body.
+func trailing(rest []byte) error {
+	return fmt.Errorf("%d trailing bytes after record body", len(rest))
+}
+
+// decodeAccess fills rec from an access body.
+func (t *Reader) decodeAccess(p []byte, rec *trace.Record) error {
+	var v [accessFields]uint64
+	n, rest, err := accessLayout.decode(p, v[:])
+	// The fields decoded before a framing error are checked first, so
+	// errors keep the body's wire order.
+	if n > aSpan && v[aLo]+v[aSpan] < v[aLo] {
+		return fmt.Errorf("interval span %d overflows from lo %d", v[aSpan], v[aLo])
+	}
+	if n > aType && (v[aType] == 0 || v[aType] >= uint64(len(accessTypeNames))) {
+		return fmt.Errorf("unknown access type code %d", v[aType])
+	}
+	if n > aFileID && v[aFileID] > uint64(len(t.files)) {
+		return fmt.Errorf("file id %d cites an undefined file (table has %d)", v[aFileID], len(t.files))
+	}
 	if err != nil {
 		return err
 	}
-	if id != uint64(len(t.files)+1) {
-		return fmt.Errorf("file id %d out of sequence (want %d)", id, len(t.files)+1)
+	if len(rest) > 0 {
+		return trailing(rest)
 	}
-	nlen, err := d.uvarint("file name length")
-	if err != nil {
-		return err
+	// Field by field, every one of them: a composite literal would be
+	// built in a temporary and copied.
+	rec.Kind, rec.Owner, rec.Rank = "access", int(v[aOwner]), int(v[aRank])
+	rec.Lo, rec.Hi, rec.Type = v[aLo], v[aLo]+v[aSpan], accessTypeNames[v[aType]]
+	rec.Epoch, rec.Time, rec.CallTime = v[aEpoch], v[aTime], v[aCallTime]
+	rec.Stack, rec.Filtered = v[aFlags]&flagStack != 0, v[aFlags]&flagFiltered != 0
+	rec.StackID, rec.Line, rec.AccumOp = uint32(v[aStackID]), int(v[aLine]), byte(v[aAccumOp])
+	rec.File = ""
+	if fid := v[aFileID]; fid > 0 {
+		rec.File = t.files[fid-1]
 	}
-	if uint64(len(d)) != nlen {
-		return fmt.Errorf("file name length %d does not match payload (%d bytes left)", nlen, len(d))
-	}
-	t.files = append(t.files, string(d))
 	return nil
 }
 
-// decode fills rec from one record payload body.
-func (t *Reader) decode(kind byte, p []byte, rec *trace.Record) error {
-	*rec = trace.Record{}
-	d := payload(p)
+// decodeSync fills rec from an epoch_end, release or complete body.
+func decodeSync(kind byte, p []byte, rec *trace.Record) error {
+	l := syncLayout
+	var name string
 	switch kind {
-	case kindAccess:
-		if len(d) < 1 {
-			return fmt.Errorf("access record truncated before flags")
-		}
-		flags := d[0]
-		d = d[1:]
-		rec.Kind = "access"
-		rec.Stack = flags&flagStack != 0
-		rec.Filtered = flags&flagFiltered != 0
-		owner, err := d.uvarint("owner")
-		if err != nil {
-			return err
-		}
-		rank, err := d.uvarint("rank")
-		if err != nil {
-			return err
-		}
-		rec.Owner, rec.Rank = int(owner), int(rank)
-		if rec.Lo, err = d.uvarint("lo"); err != nil {
-			return err
-		}
-		span, err := d.uvarint("interval span")
-		if err != nil {
-			return err
-		}
-		rec.Hi = rec.Lo + span
-		if rec.Hi < rec.Lo {
-			return fmt.Errorf("interval span %d overflows from lo %d", span, rec.Lo)
-		}
-		if len(d) < 1 {
-			return fmt.Errorf("access record truncated before type")
-		}
-		code := d[0]
-		d = d[1:]
-		if int(code) >= len(accessTypeNames) || code == 0 {
-			return fmt.Errorf("unknown access type code %d", code)
-		}
-		rec.Type = accessTypeNames[code]
-		if rec.Epoch, err = d.uvarint("epoch"); err != nil {
-			return err
-		}
-		if rec.Time, err = d.uvarint("time"); err != nil {
-			return err
-		}
-		if rec.CallTime, err = d.uvarint("call time"); err != nil {
-			return err
-		}
-		if len(d) < 1 {
-			return fmt.Errorf("access record truncated before accum op")
-		}
-		rec.AccumOp = d[0]
-		d = d[1:]
-		sid, err := d.uvarint("stack id")
-		if err != nil {
-			return err
-		}
-		rec.StackID = uint32(sid)
-		fid, err := d.uvarint("file id")
-		if err != nil {
-			return err
-		}
-		if fid > uint64(len(t.files)) {
-			return fmt.Errorf("file id %d cites an undefined file (table has %d)", fid, len(t.files))
-		}
-		if fid > 0 {
-			rec.File = t.files[fid-1]
-		}
-		line, err := d.uvarint("line")
-		if err != nil {
-			return err
-		}
-		rec.Line = int(line)
 	case kindEpochEnd:
-		rec.Kind = "epoch_end"
-		owner, err := d.uvarint("owner")
-		if err != nil {
-			return err
-		}
-		rec.Owner = int(owner)
+		name, l.names = "epoch_end", l.names[:1]
 	case kindRelease:
-		rec.Kind = "release"
-		owner, err := d.uvarint("owner")
-		if err != nil {
-			return err
-		}
-		rank, err := d.uvarint("rank")
-		if err != nil {
-			return err
-		}
-		rec.Owner, rec.Rank = int(owner), int(rank)
+		name, l.names = "release", l.names[:2]
 	case kindComplete:
-		rec.Kind = "complete"
-		owner, err := d.uvarint("owner")
-		if err != nil {
-			return err
-		}
-		rank, err := d.uvarint("rank")
-		if err != nil {
-			return err
-		}
-		rec.Owner, rec.Rank = int(owner), int(rank)
-		if rec.Lo, err = d.uvarint("lo"); err != nil {
-			return err
-		}
-		span, err := d.uvarint("interval span")
-		if err != nil {
-			return err
-		}
-		rec.Hi = rec.Lo + span
-		if rec.Hi < rec.Lo {
-			return fmt.Errorf("interval span %d overflows from lo %d", span, rec.Lo)
-		}
+		name = "complete"
 	default:
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
-	if len(d) > 0 {
-		return fmt.Errorf("%d trailing bytes after record body", len(d))
+	var v [4]uint64
+	_, rest, err := l.decode(p, v[:])
+	if err != nil {
+		return err
 	}
+	lo, hi := v[2], v[2]+v[3]
+	if hi < lo {
+		return fmt.Errorf("interval span %d overflows from lo %d", v[3], lo)
+	}
+	if len(rest) > 0 {
+		return trailing(rest)
+	}
+	*rec = trace.Record{Kind: name, Owner: int(v[0]), Rank: int(v[1]), Lo: lo, Hi: hi}
 	return nil
 }
 
-// payload is a cursor over one record's body; its uvarint method
-// consumes from the front with field-named errors.
-type payload []byte
-
-func (d *payload) uvarint(field string) (uint64, error) {
-	x, n := binary.Uvarint(*d)
-	if n <= 0 {
-		if n == 0 {
-			return 0, fmt.Errorf("%s: record truncated mid-varint", field)
-		}
-		return 0, fmt.Errorf("%s: varint overflows 64 bits", field)
+// internFile decodes a fileDef body into the string table.
+func (t *Reader) internFile(p []byte) error {
+	var v [2]uint64
+	n, name, err := fileDefLayout.decode(p, v[:])
+	if n > 0 && v[0] != uint64(len(t.files)+1) {
+		return fmt.Errorf("file id %d out of sequence (want %d)", v[0], len(t.files)+1)
 	}
-	*d = (*d)[n:]
-	return x, nil
+	if err != nil {
+		return err
+	}
+	if uint64(len(name)) != v[1] {
+		return fmt.Errorf("file name length %d does not match payload (%d bytes left)", v[1], len(name))
+	}
+	t.files = append(t.files, string(name))
+	return nil
 }
 
 var _ trace.Source = (*Reader)(nil)
@@ -557,20 +616,35 @@ var _ trace.Source = (*Reader)(nil)
 // Open sniffs r's leading bytes and returns the matching trace source:
 // a binary Reader when the stream opens with the RMTB magic, the JSON
 // Lines reader otherwise. format reports which was chosen ("bin" or
-// "json").
+// "json"). The sniff reads into the binary Reader's window, which the
+// JSON reader re-reads before the rest of r.
 func Open(r io.Reader) (src trace.Source, format string, err error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(Magic))
-	if err != nil && err != io.EOF {
-		return nil, "", fmt.Errorf("tracebin: sniffing format: %w", err)
+	t := &Reader{src: r, win: make([]byte, windowSize)}
+	if !t.fill(len(Magic)) && t.err != io.EOF {
+		return nil, "", fmt.Errorf("tracebin: sniffing format: %w", t.err)
 	}
-	if bytes.Equal(head, Magic[:]) {
-		tr, err := NewReader(br)
-		return tr, "bin", err
+	head := t.win[t.pos:t.end]
+	if bytes.HasPrefix(head, Magic[:]) {
+		if err := t.readHeader(); err != nil {
+			return nil, "bin", err
+		}
+		return t, "bin", nil
 	}
-	tr, err := trace.NewReader(br)
-	return tr, "json", err
+	rest := r
+	if t.err != nil {
+		rest = failedReader{t.err}
+	}
+	tr, err := trace.NewReader(io.MultiReader(bytes.NewReader(head), rest))
+	if err != nil {
+		return nil, "json", err
+	}
+	return tr, "json", nil
 }
+
+// failedReader stands in for a source that has already returned err.
+type failedReader struct{ err error }
+
+func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 
 // Convert streams every record of src into dst and flushes, returning
 // the number of records copied. Both formats implement the interfaces,

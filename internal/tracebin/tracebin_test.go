@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"rmarace/internal/trace"
 )
@@ -85,6 +86,44 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if r.BytesRead() != int64(len(raw)) {
 		t.Errorf("BytesRead = %d, want %d", r.BytesRead(), len(raw))
+	}
+}
+
+// TestWindowGrowsForLongRecord: a fileDef whose path is longer than the
+// reader's initial input window grows the window, and the accesses
+// around it decode unchanged however the input arrives.
+func TestWindowGrowsForLongRecord(t *testing.T) {
+	long := strings.Repeat("d/", 50<<10) + "halo.c" // 100 KiB and change
+	if len(long) <= windowSize {
+		t.Fatalf("path of %d bytes fits the %d-byte window", len(long), windowSize)
+	}
+	recs := []trace.Record{
+		{Kind: "access", Owner: 0, Rank: 1, Lo: 8, Hi: 15, Type: "rma_write", Epoch: 1, Time: 2, File: "a.c", Line: 3},
+		{Kind: "access", Owner: 1, Rank: 0, Lo: 64, Hi: 64, Type: "rma_read", Epoch: 1, Time: 4, File: long, Line: 5},
+		{Kind: "access", Owner: 1, Rank: 2, Lo: 65, Hi: 70, Type: "local_write", Epoch: 1, Time: 6, File: long, Line: 7},
+		{Kind: "epoch_end", Owner: 1},
+	}
+	raw := encode(t, trace.Header{Ranks: 4, Window: "w"}, recs)
+	for name, src := range map[string]io.Reader{
+		"whole":    bytes.NewReader(raw),
+		"one byte": iotest.OneByteReader(bytes.NewReader(raw)),
+	} {
+		r, err := NewReader(src)
+		if err != nil {
+			t.Fatalf("%s: NewReader: %v", name, err)
+		}
+		got := drain(t, r)
+		if len(got) != len(recs) {
+			t.Fatalf("%s: decoded %d records, want %d", name, len(got), len(recs))
+		}
+		for i := range recs {
+			if got[i] != recs[i] {
+				t.Errorf("%s: record %d differs (file %d bytes, want %d)", name, i, len(got[i].File), len(recs[i].File))
+			}
+		}
+		if r.BytesRead() != int64(len(raw)) {
+			t.Errorf("%s: BytesRead = %d, want %d", name, r.BytesRead(), len(raw))
+		}
 	}
 }
 
