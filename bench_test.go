@@ -330,9 +330,10 @@ func BenchmarkAblationStridedMerging(b *testing.B) {
 }
 
 // BenchmarkAblationUnbalanced contrasts the stabbing query across the
-// pluggable store backends at equal size — the balanced AVL interval
-// tree against the legacy lower-bound descent (the §4.2 complexity
-// claim), plus the shadow-memory and regular-section representations.
+// pluggable store backends at equal size — the balanced B+tree of the
+// avl store against the legacy lower-bound descent (the §4.2
+// complexity claim), plus the shadow-memory and regular-section
+// representations.
 func BenchmarkAblationUnbalanced(b *testing.B) {
 	const n = 1 << 14
 	for _, name := range store.Names() {

@@ -112,7 +112,9 @@ func usage() {
   rmarace conformance [-out FILE] [-baseline FILE] [-quiet]
 
 methods: baseline, rma-analyzer, must-rma, our-contribution
-stores (tree-based methods): avl (default), legacy, shadow, strided
+stores (-store, the contribution's backend): avl (default), legacy, shadow,
+        strided; rma-analyzer always runs over its own lower-bound BST and
+        refuses -store
 TRACE may be JSON Lines or the RMTB binary format; replay, convert and
         postmortem sniff the leading bytes and pick the right decoder
 -shards splits the contribution analyzer into K address-space shards
@@ -430,7 +432,7 @@ func postmortemCmd(args []string) {
 func replayCmd(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	methodName := fs.String("method", "our-contribution", "analysis method")
-	storeName := fs.String("store", "", "storage backend for the tree-based methods (avl, legacy, shadow, strided)")
+	storeName := fs.String("store", "", "storage backend of the contribution (avl, legacy, shadow, strided); rma-analyzer refuses it")
 	shards := fs.Int("shards", 1, "address-space shard count for the contribution analyzer (power of two, at most 64; 1 = unsharded)")
 	compare := fs.Bool("compare", false, "replay under all four methods")
 	report := fs.String("report", "", "write a structured run report (JSON) to this path")
@@ -456,7 +458,11 @@ func replayCmd(args []string) {
 			log.Fatal("-compare replays four times; -report, -telemetry and -spans attach to a single replay")
 		}
 		for _, m := range detector.Methods() {
-			if err := replayOne(path, m, *storeName, *shards,
+			st := *storeName
+			if m == detector.RMAAnalyzer {
+				st = "" // always over its own BST; -store is the contribution's
+			}
+			if err := replayOne(path, m, st, *shards,
 				replayObs{flight: *flight, batch: *batch, evict: *evict, compact: *compact}); err != nil {
 				log.Fatal(err)
 			}
@@ -465,6 +471,9 @@ func replayCmd(args []string) {
 	}
 	method, err := detector.MethodByName(*methodName)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := serve.CheckStore(method, *storeName); err != nil {
 		log.Fatal(err)
 	}
 	if err := replayOne(path, method, *storeName, *shards, o); err != nil {
@@ -672,7 +681,7 @@ func submitCmd(args []string) {
 	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
 	tenant := fs.String("tenant", "", "tenant name (X-Tenant header)")
 	methodName := fs.String("method", "", "analysis method (default: the daemon's)")
-	storeName := fs.String("store", "", "storage backend for the tree-based methods")
+	storeName := fs.String("store", "", "storage backend of the contribution (avl, legacy, shadow, strided); rma-analyzer refuses it")
 	shards := fs.Int("shards", 0, "address-space shard count")
 	batch := fs.Int("batch", 0, "event-batch size per owner")
 	evict := fs.Int("evict", 0, "cold-epoch threshold for analyzer eviction")
@@ -683,6 +692,11 @@ func submitCmd(args []string) {
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
+	}
+	if m, err := detector.MethodByName(*methodName); err == nil {
+		if err := serve.CheckStore(m, *storeName); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	q := url.Values{}

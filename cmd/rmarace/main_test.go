@@ -1,12 +1,60 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"rmarace/internal/benchkit"
 )
+
+// TestMain lets a test run the command itself: with RMARACE_TEST_MAIN
+// set, the test binary is rmarace.
+func TestMain(m *testing.M) {
+	if os.Getenv("RMARACE_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestStoreFlagRefusedForRMAAnalyzer: -store selects the contribution's
+// backend, so replay and submit refuse it with -method rma-analyzer,
+// exiting 1 with the reason before reading the trace or contacting a
+// daemon, while replay still takes it for the contribution.
+func TestStoreFlagRefusedForRMAAnalyzer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	body := `{"kind":"header","ranks":2,"window":"w"}
+{"kind":"access","owner":0,"rank":1,"lo":0,"hi":7,"type":"rma_write"}
+{"kind":"epoch_end","owner":0}
+`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) (string, error) {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "RMARACE_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	for _, args := range [][]string{
+		{"replay", "-method", "rma-analyzer", "-store", "avl", path},
+		{"submit", "-addr", "http://127.0.0.1:1", "-method", "rma-analyzer", "-store", "legacy", path},
+	} {
+		out, err := run(args...)
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(out, "selects the contribution's backend") {
+			t.Errorf("rmarace %s: %v, output %q; want exit 1 saying -store selects the contribution's backend", strings.Join(args, " "), err, out)
+		}
+	}
+	if out, err := run("replay", "-store", "strided", path); err != nil {
+		t.Errorf("rmarace replay -store strided: %v, output %q", err, out)
+	}
+}
 
 // gatedReport is a snapshot that meets every `bench -check` gate: one
 // row per gated series, plus a legacy insert row at the 3 allocs/op its

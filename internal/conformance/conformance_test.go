@@ -189,7 +189,7 @@ func TestGatedConfigsPerfect(t *testing.T) {
 func TestReferenceToolsImperfect(t *testing.T) {
 	cases := Corpus()
 	outs, err := Run(cases, []Config{
-		{Name: "rma-analyzer", Method: detector.RMAAnalyzer, Store: "legacy", Shards: 1, Batch: 1},
+		{Name: "rma-analyzer", Method: detector.RMAAnalyzer, Store: "", Shards: 1, Batch: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestReportRoundTrip(t *testing.T) {
 	cases := Corpus()
 	cfgs := []Config{
 		{Name: "our/avl/s1/b1", Method: detector.OurContribution, Store: "avl", Shards: 1, Batch: 1, Gated: true},
-		{Name: "rma-analyzer", Method: detector.RMAAnalyzer, Store: "legacy", Shards: 1, Batch: 1},
+		{Name: "rma-analyzer", Method: detector.RMAAnalyzer, Store: "", Shards: 1, Batch: 1},
 	}
 	outs, err := Run(cases, cfgs)
 	if err != nil {

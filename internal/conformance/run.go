@@ -49,7 +49,7 @@ func Configs() []Config {
 		}
 	}
 	return append(out,
-		Config{Name: "rma-analyzer", Method: detector.RMAAnalyzer, Store: "legacy", Shards: 1, Batch: 1},
+		Config{Name: "rma-analyzer", Method: detector.RMAAnalyzer, Store: "", Shards: 1, Batch: 1},
 		Config{Name: "must-rma", Method: detector.MustRMAMethod, Store: "", Shards: 1, Batch: 1},
 	)
 }

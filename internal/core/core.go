@@ -1,8 +1,8 @@
 // Package core implements the paper's contribution: the new insertion
 // algorithm for RMA-Analyzer's memory-access BST (Algorithm 1), built
 // from the fragmentation algorithm of §4.1 and the merging algorithm of
-// §4.2 over a pluggable access store (package store; the balanced AVL
-// interval tree of package itree by default).
+// §4.2 over a pluggable access store (package store; by default the
+// B+tree of package itree, which relies on the disjointness below).
 //
 // Given a new access, the analyzer
 //
@@ -34,7 +34,7 @@ import (
 // Analyzer is the contribution's per-(process, window) analysis state.
 // It implements detector.Analyzer (and detector.BatchAnalyzer, for the
 // batched notification pipeline). The zero value is ready to use with
-// the default AVL store.
+// the default avl store.
 type Analyzer struct {
 	st          store.AccessStore
 	accesses    uint64
@@ -107,7 +107,7 @@ func WithOwner(rank int) Option {
 }
 
 // WithStore runs Algorithm 1 over the given storage backend instead of
-// the default AVL interval tree. Backends without the complete-stab
+// the default avl B+tree. Backends without the complete-stab
 // guarantee (the legacy lower-bound BST) reintroduce the corresponding
 // published defects; that is the point of the ablation.
 func WithStore(s store.AccessStore) Option {
@@ -115,7 +115,7 @@ func WithStore(s store.AccessStore) Option {
 }
 
 // WithStoreFactory makes the analyzer build its backend with fn
-// instead of the default AVL tree. Unlike WithStore it hands every
+// instead of the default avl B+tree. Unlike WithStore it hands every
 // analyzer (and, under sharding, every shard) its own instance, which
 // is what the single-owner serialisation discipline requires.
 func WithStoreFactory(fn func() store.AccessStore) Option {
@@ -431,8 +431,9 @@ func (z *Analyzer) MaxNodes() int { return z.maxNodes }
 
 // Compact implements detector.Compacter: it releases the analyzer's
 // retained capacity — the insertion hot path's scratch buffers and the
-// store's own retained capacity (store.Compact; the AVL free list) —
-// without touching live analysis state, so verdicts are unaffected.
+// store's own (store.Compact; the B+tree's free leaves and spare inner
+// nodes beyond constant reserves) — without touching live analysis
+// state, so verdicts are unaffected.
 // The bounded-memory trace replay calls it at epoch boundaries; the
 // next epoch re-grows the buffers on demand.
 func (z *Analyzer) Compact() {

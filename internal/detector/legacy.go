@@ -18,9 +18,7 @@ import (
 //
 // The first two defects live in the storage backend (the legacy
 // lower-bound BST adapter of package store); the third in the
-// order-insensitive predicate below. Swapping the backend
-// (NewLegacyWithStore) isolates the predicate defect from the storage
-// defects.
+// order-insensitive predicate below.
 type LegacyAnalyzer struct {
 	st       store.AccessStore
 	accesses uint64
@@ -29,11 +27,7 @@ type LegacyAnalyzer struct {
 
 // NewLegacy returns a fresh legacy RMA-Analyzer state for one window,
 // over the legacy lower-bound BST.
-func NewLegacy() *LegacyAnalyzer { return NewLegacyWithStore(store.NewLegacyBST()) }
-
-// NewLegacyWithStore returns the legacy analysis algorithm over the
-// given storage backend.
-func NewLegacyWithStore(s store.AccessStore) *LegacyAnalyzer { return &LegacyAnalyzer{st: s} }
+func NewLegacy() *LegacyAnalyzer { return &LegacyAnalyzer{st: store.NewLegacyBST()} }
 
 // Name implements Analyzer.
 func (*LegacyAnalyzer) Name() string { return "rma-analyzer" }

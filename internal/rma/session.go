@@ -59,7 +59,7 @@ type Config struct {
 	DisableAliasFilter bool
 	// Store selects the storage backend the contribution analyzer runs
 	// Algorithm 1 over ("avl", "legacy", "shadow", "strided"; package
-	// internal/store). Empty means the default AVL interval tree;
+	// internal/store). Empty means the default "avl" store, the B+tree;
 	// "strided" selects the §6(3) regular-section extension, which
 	// compresses constant-stride accesses plain merging cannot coalesce.
 	// Only meaningful for OurContribution.

@@ -35,6 +35,21 @@ func CheckShards(k int) error {
 	return nil
 }
 
+// CheckStore rejects a storage backend the method cannot take: an
+// unknown name, or any name with rma-analyzer. The store selects the
+// contribution's backend; RMA-Analyzer always runs over its own
+// lower-bound BST, as MUST-RMA always runs over shadow memory, and the
+// accesses it stores overlap, which the other backends do not hold.
+func CheckStore(method detector.Method, storeName string) error {
+	if _, err := store.New(storeName); err != nil {
+		return err
+	}
+	if method == detector.RMAAnalyzer && storeName != "" {
+		return fmt.Errorf("serve: store %q for %s: -store (?store=) selects the contribution's backend; %s always runs over its own lower-bound BST", storeName, method, method)
+	}
+	return nil
+}
+
 // NewAnalyzerFactory builds the per-owner analyzer constructor every
 // replay surface shares — `rmarace replay`, `rmarace postmortem` and
 // the daemon's sessions all analyse through it, so a served verdict is
@@ -48,7 +63,7 @@ func NewAnalyzerFactory(method detector.Method, ranks int, storeName string, sha
 	// per-owner constructor below runs deep inside a replay loop where
 	// an "unknown store" error or a bad count has nowhere civilised to
 	// go.
-	if _, err := store.New(storeName); err != nil {
+	if err := CheckStore(method, storeName); err != nil {
 		return nil, nil, err
 	}
 	if err := CheckShards(shards); err != nil {
@@ -73,16 +88,7 @@ func NewAnalyzerFactory(method detector.Method, ranks int, storeName string, sha
 		case detector.Baseline:
 			return detector.NewBaseline()
 		case detector.RMAAnalyzer:
-			if storeName == "" {
-				return detector.NewLegacy()
-			}
-			// The legacy analyzer takes no recorder, so its store is
-			// instrumented here.
-			st := newStore()
-			if recording {
-				st = store.Instrument(st, rec, owner)
-			}
-			return detector.NewLegacyWithStore(st)
+			return detector.NewLegacy()
 		case detector.MustRMAMethod:
 			return detector.NewMustRMA(shared, owner)
 		default:

@@ -14,6 +14,7 @@ import (
 
 	"rmarace/internal/detector"
 	"rmarace/internal/obs"
+	"rmarace/internal/store"
 	"rmarace/internal/trace"
 	"rmarace/internal/tracebin"
 )
@@ -527,6 +528,32 @@ func TestBadShardCount(t *testing.T) {
 		if v.State != "failed" {
 			t.Errorf("session %s left in state %q, want failed", v.Session, v.State)
 		}
+	}
+}
+
+// TestStoreRefusedForRMAAnalyzer: the store selects the contribution's
+// backend, so rma-analyzer, which always runs over its own lower-bound
+// BST, refuses every store name: the factory errs, and a session asking
+// for one gets a 400 and is left failed. The other methods still take
+// a store.
+func TestStoreRefusedForRMAAnalyzer(t *testing.T) {
+	for _, name := range store.Names() {
+		_, _, err := NewAnalyzerFactory(detector.RMAAnalyzer, 2, name, 1, nil)
+		if err == nil || !strings.Contains(err.Error(), "selects the contribution's backend") {
+			t.Errorf("factory with rma-analyzer over store %q: error %v", name, err)
+		}
+		if _, _, err := NewAnalyzerFactory(detector.OurContribution, 2, name, 1, nil); err != nil {
+			t.Errorf("factory refused the contribution over store %q: %v", name, err)
+		}
+	}
+	_, srv := newTestDaemon(t, Config{})
+	data := genTrace(t, safeCfg(8), "bin")
+	code, v := submit(t, srv.Client(), srv.URL, "s", bytes.NewReader(data), "?method=rma-analyzer&store=avl")
+	if code != http.StatusBadRequest || v == nil || v.State != "failed" || !strings.Contains(v.Error, "selects the contribution's backend") {
+		t.Fatalf("?method=rma-analyzer&store=avl: status %d, verdict %+v; want 400 and a failed session", code, v)
+	}
+	if code, _ := submit(t, srv.Client(), srv.URL, "s", bytes.NewReader(data), "?method=rma-analyzer"); code != http.StatusOK {
+		t.Fatalf("?method=rma-analyzer: status %d, want 200", code)
 	}
 }
 

@@ -6,15 +6,17 @@ import (
 	"rmarace/internal/itree"
 )
 
-// AVL adapts the balanced AVL interval tree of package itree — the
-// contribution's storage — to the AccessStore interface. It implements
-// every optional capability: the single-traversal StabNeighbors and the
-// in-place ExtendHi/ExtendLo carry the merge fast path of Algorithm 1.
+// AVL adapts the B+tree of package itree — the contribution's storage —
+// to the AccessStore interface, with every optional capability: the
+// single-descent StabNeighbors and the in-place ExtendHi/ExtendLo carry
+// Algorithm 1's merge fast path. The tree holds only pairwise-disjoint
+// accesses, which Algorithm 1 guarantees. The store began as an AVL
+// tree; runs, benchmarks and reports still select it by the name "avl".
 type AVL struct {
 	tree itree.Tree
 }
 
-// NewAVL returns an empty AVL-backed store.
+// NewAVL returns an empty store over an itree B+tree.
 func NewAVL() *AVL { return &AVL{} }
 
 // Name implements AccessStore.
@@ -34,7 +36,7 @@ func (s *AVL) InsertBatch(batch []access.Access) {
 func (s *AVL) Delete(iv interval.Interval) bool { return s.tree.Delete(iv) }
 
 // Stab implements AccessStore with the complete O(log n + k) stabbing
-// query of the augmented tree.
+// query: one descent, then a scan along the leaves.
 func (s *AVL) Stab(iv interval.Interval, fn func(access.Access) bool) bool {
 	return s.tree.VisitStab(iv, fn)
 }
@@ -59,10 +61,9 @@ func (s *AVL) Clear() { s.tree.Clear() }
 // Len implements AccessStore.
 func (s *AVL) Len() int { return s.tree.Len() }
 
-// Compact implements Compacter: it drops the tree's recycled-node free
-// list (the retained capacity that dominates a post-epoch tree's
-// footprint), trading the next epoch's allocation-free refill for a
-// flat memory profile.
+// Compact implements Compacter: it trims the tree's spare leaves and
+// inner nodes to constant reserves (itree.ReleaseFree), so a tree keeps
+// what refills a typical epoch and hands a spike's nodes back.
 func (s *AVL) Compact() { s.tree.ReleaseFree() }
 
 var (

@@ -1,10 +1,11 @@
 // Package store defines the storage layer of the detector stack: the
 // AccessStore interface every analyzer holds its per-(process, window)
 // memory accesses in, together with adapters for the four concrete
-// structures the reproduction compares — the balanced AVL interval tree
-// of package itree (the contribution's store), the legacy lower-bound
-// BST of package legacybst, the TSan-style shadow memory of package
-// shadow, and the regular-section compression of package strided.
+// structures the reproduction compares — the B+tree of disjoint
+// accesses of package itree (the contribution's store, named "avl" for
+// the augmented AVL tree it replaced), the legacy lower-bound BST of
+// package legacybst, the TSan-style shadow memory of package shadow,
+// and the regular-section compression of package strided.
 //
 // The split makes backends swappable underneath a fixed detection
 // algorithm (cmd/rmarace replay -store=..., BenchmarkAblationUnbalanced)
@@ -16,8 +17,11 @@
 // interval queries. Capabilities beyond the core interface — bulk
 // insertion, neighbour-returning stabs, in-place extension, per-rank
 // retirement — are optional interfaces with generic fallbacks, so the
-// contribution's hot path keeps its allocation-free single traversal on
-// the AVL backend while still running, more slowly, on any other.
+// contribution's hot path keeps its allocation-free single descent on
+// the avl backend while still running, more slowly, on any other. The
+// contribution keeps its accesses pairwise disjoint, and the avl and
+// strided backends rely on that; the legacy analyzer's overlapping
+// accesses only ever go into its own lower-bound BST.
 package store
 
 import (
@@ -42,7 +46,7 @@ type AccessStore interface {
 	Delete(iv interval.Interval) bool
 	// Stab calls fn for stored accesses intersecting iv, stopping early
 	// if fn returns false, and reports whether the visit ran to
-	// completion. Backends define their own completeness: the AVL tree
+	// completion. Backends define their own completeness: the avl tree
 	// visits every intersection, the legacy BST only those on its
 	// lower-bound descent path (the published false-negative defect).
 	Stab(iv interval.Interval, fn func(access.Access) bool) bool
@@ -300,9 +304,8 @@ func Items(s AccessStore) []access.Access {
 // Names lists the selectable backends in presentation order.
 func Names() []string { return []string{"avl", "legacy", "shadow", "strided"} }
 
-// New builds a backend by name. The AVL interval tree is the default
-// store of the contribution; the others exist for ablation and
-// comparison runs.
+// New builds a backend by name. The avl B+tree is the default store of
+// the contribution; the others exist for ablation and comparison runs.
 func New(name string) (AccessStore, error) {
 	switch name {
 	case "avl", "":

@@ -43,9 +43,11 @@ type run struct {
 // MiniVite's attribute accesses on 24-byte-strided records, which plain
 // merging cannot coalesce because they are not adjacent — collapse into
 // regular sections (§6(3), after Ketterlin & Clauss), while everything
-// else lives in an AVL interval tree. Stab reports section elements as
-// individual representative accesses, so detection logic on top sees
-// the same multiset a plain tree would hold.
+// else lives in the B+tree of package itree. That tree, as in the avl
+// store, relies on Algorithm 1 keeping the stored accesses pairwise
+// disjoint. Stab reports section elements as individual representative
+// accesses, so detection logic on top sees the same multiset a plain
+// tree would hold.
 type Strided struct {
 	tree     itree.Tree
 	sections []strided.Section

@@ -37,8 +37,8 @@
 // # Architecture
 //
 // The detection algorithms live in internal packages re-exported here:
-// the paper's contribution (internal/core, Algorithm 1 over the
-// interval tree of internal/itree), the legacy RMA-Analyzer
+// the paper's contribution (internal/core, Algorithm 1 over the B+tree
+// of disjoint accesses of internal/itree), the legacy RMA-Analyzer
 // (internal/detector.Legacy over internal/legacybst), a MUST-RMA
 // simulator (vector clocks + shadow memory) and a no-op baseline. The
 // simulated MPI runtime is internal/mpi and the PMPI-style
