@@ -422,11 +422,9 @@ func postmortemCmd(args []string) {
 	if res.Race == nil {
 		log.Fatalf("no race detected in %d events; nothing to dissect", res.Events)
 	}
-	fmt.Printf("RACE: %s\n", res.Race.Message())
-	if p := res.Race.Prov; p != nil {
-		fmt.Printf("  window=%s owner=%d shard=%d\n", p.Window, p.Owner, p.Shard)
-	}
-	detector.WriteFlight(os.Stdout, res.Race.FlightLog, res.Race)
+	rc := rma.RaceReport(res.Race)
+	fmt.Printf("RACE: %s\n  window=%s owner=%d shard=%d\n", rc.Message, rc.Window, rc.Owner, rc.Shard)
+	rc.WriteFlight(os.Stdout)
 }
 
 func replayCmd(args []string) {
@@ -680,7 +678,7 @@ func submitCmd(args []string) {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "daemon base URL")
 	tenant := fs.String("tenant", "", "tenant name (X-Tenant header)")
-	methodName := fs.String("method", "", "analysis method (default: the daemon's)")
+	methodName := fs.String("method", "", "analysis method (default: our-contribution)")
 	storeName := fs.String("store", "", "storage backend of the contribution (avl, legacy, shadow, strided); rma-analyzer refuses it")
 	shards := fs.Int("shards", 0, "address-space shard count")
 	batch := fs.Int("batch", 0, "event-batch size per owner")

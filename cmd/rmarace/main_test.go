@@ -141,3 +141,54 @@ func TestCheckBench(t *testing.T) {
 		})
 	}
 }
+
+// TestPostmortemOfTraceAndReportAgree: `rmarace postmortem` renders a
+// trace and the report `replay -flight 64 -report` writes of it alike.
+// Both mark all three accesses: the stored side of the race is the
+// merge of rank 1's two accesses, which the raw entries only overlap.
+func TestPostmortemOfTraceAndReportAgree(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.jsonl")
+	report := filepath.Join(dir, "r.json")
+	body := `{"kind":"header","ranks":3,"window":"w"}
+{"kind":"access","owner":0,"rank":1,"lo":0,"hi":7,"type":"rma_write","file":"m.c","line":1}
+{"kind":"access","owner":0,"rank":1,"lo":8,"hi":15,"type":"rma_write","file":"m.c","line":1}
+{"kind":"access","owner":0,"rank":2,"lo":4,"hi":11,"type":"rma_write","file":"m.c","line":2}
+`
+	if err := os.WriteFile(trace, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) string {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "RMARACE_TEST_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("rmarace %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+		return string(out)
+	}
+	// flight keeps the dump's entry lines, marked or not.
+	flight := func(out string) []string {
+		var lines []string
+		for _, ln := range strings.Split(out, "\n") {
+			if strings.Contains(ln, "  access  ") {
+				lines = append(lines, ln)
+			}
+		}
+		return lines
+	}
+	fromTrace := flight(run("postmortem", trace))
+	run("replay", "-flight", "64", "-report", report, trace)
+	fromReport := flight(run("postmortem", report))
+	if !slices.Equal(fromTrace, fromReport) {
+		t.Fatalf("postmortem of the trace:\n%s\nof its report:\n%s", strings.Join(fromTrace, "\n"), strings.Join(fromReport, "\n"))
+	}
+	if len(fromTrace) != 3 {
+		t.Fatalf("%d access lines, want 3:\n%s", len(fromTrace), strings.Join(fromTrace, "\n"))
+	}
+	for _, ln := range fromTrace {
+		if !strings.HasPrefix(ln, ">>") {
+			t.Errorf("unmarked: %s", ln)
+		}
+	}
+}

@@ -57,3 +57,38 @@ func TestDocsCiteDefinedTests(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignInventoryCoversPackages: every directory under internal/,
+// cmd/ or examples/ that holds non-test Go files has a row of its own
+// in DESIGN.md §2, the system inventory.
+func TestDesignInventoryCoversPackages(t *testing.T) {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src)
+	start := strings.Index(doc, "\n## 2. ")
+	end := strings.Index(doc, "\n## 3. ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §2 followed by §3")
+	}
+	rows := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(doc[start:end], -1) {
+		rows[m[1]] = true
+	}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			if dir := filepath.ToSlash(filepath.Dir(path)); !rows[dir] {
+				rows[dir] = true // report each directory once
+				t.Errorf("DESIGN.md §2 has no row for %s", dir)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

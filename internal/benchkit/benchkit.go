@@ -198,8 +198,7 @@ func insertBench(stream []detector.Event, mk func() detector.Analyzer) func(*tes
 // one analysed event): an adjacent stream notified in batches to one
 // rank's receiver, which analyses it serially. Batch 1 is one channel
 // message per access, the pre-pipeline behaviour; larger batches
-// amortise the channel, lock and condvar traffic and let the
-// analyzer's frontier fast path elide the per-access neighbour search.
+// amortise the channel, lock and condvar traffic.
 func notificationBench(stream []detector.Event, batch int) func(*testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +9,8 @@ import (
 	"rmarace/internal/access"
 	"rmarace/internal/detector"
 	"rmarace/internal/interval"
+	"rmarace/internal/obs"
+	"rmarace/internal/store"
 )
 
 // randomReadStream builds a race-free stream (reads never conflict)
@@ -126,5 +129,111 @@ func TestAccessBatchReportsSameRace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*scalarRace, *batchRace) {
 		t.Fatalf("race reports diverged:\nscalar %+v\nbatch  %+v", *scalarRace, *batchRace)
+	}
+}
+
+// callLog is an avl store that logs the store calls the analyzer makes,
+// by name and interval, in order.
+type callLog struct {
+	*store.AVL
+	calls []string
+}
+
+func (c *callLog) log(name string, iv interval.Interval) {
+	c.calls = append(c.calls, fmt.Sprintf("%s[%d..%d]", name, iv.Lo, iv.Hi))
+}
+
+func (c *callLog) Insert(a access.Access) { c.log("Insert", a.Interval); c.AVL.Insert(a) }
+
+func (c *callLog) Delete(iv interval.Interval) bool { c.log("Delete", iv); return c.AVL.Delete(iv) }
+
+func (c *callLog) Stab(iv interval.Interval, fn func(access.Access) bool) bool {
+	c.log("Stab", iv)
+	return c.AVL.Stab(iv, fn)
+}
+
+func (c *callLog) StabNeighbors(iv interval.Interval, dst *[]access.Access) (access.Access, access.Access, bool, bool) {
+	c.log("StabNeighbors", iv)
+	return c.AVL.StabNeighbors(iv, dst)
+}
+
+func (c *callLog) ExtendHi(iv interval.Interval, newHi uint64) bool {
+	c.log("ExtendHi", iv)
+	return c.AVL.ExtendHi(iv, newHi)
+}
+
+func (c *callLog) ExtendLo(iv interval.Interval, newLo uint64) bool {
+	c.log("ExtendLo", iv)
+	return c.AVL.ExtendLo(iv, newLo)
+}
+
+// TestAccessAndAccessBatchMakeTheSameStoreCalls: Access and AccessBatch
+// run one Algorithm 1, so an adjacent run fed one event at a time makes
+// the same store calls, in the same order, as the same run fed as one
+// batch — the frontier probe (Stab) and an in-place ExtendHi for every
+// continuation, not a neighbour search.
+func TestAccessAndAccessBatchMakeTheSameStoreCalls(t *testing.T) {
+	var run []detector.Event
+	for i := 0; i < 8; i++ {
+		run = append(run, detector.Event{Acc: access.Access{
+			Interval: interval.Span(uint64(4096+i*8), 8),
+			Type:     access.RMAWrite,
+			Rank:     1,
+			Debug:    access.Debug{File: "halo.c", Line: 3},
+		}})
+	}
+	scalarLog := &callLog{AVL: store.NewAVL()}
+	scalar := New(WithStore(scalarLog))
+	for _, ev := range run {
+		if r := scalar.Access(ev); r != nil {
+			t.Fatalf("race on a one-rank adjacent run: %v", r)
+		}
+	}
+	batchLog := &callLog{AVL: store.NewAVL()}
+	if r := New(WithStore(batchLog)).AccessBatch(run); r != nil {
+		t.Fatalf("race on a one-rank adjacent run: %v", r)
+	}
+	if !reflect.DeepEqual(scalarLog.calls, batchLog.calls) {
+		t.Fatalf("store calls diverged\nAccess:      %v\nAccessBatch: %v", scalarLog.calls, batchLog.calls)
+	}
+	want := []string{"StabNeighbors[4096..4103]", "Insert[4096..4103]", "Stab[4104..4112]", "ExtendHi[4096..4103]"}
+	if got := scalarLog.calls[:len(want)]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("first continuation: store calls %v, want %v", got, want)
+	}
+	if got, want := len(scalarLog.calls), 2+2*(len(run)-1); got != want {
+		t.Fatalf("%d store calls, want %d: %v", got, want, scalarLog.calls)
+	}
+	if got := scalar.Items(); len(got) != 1 || got[0].Lo != 4096 || got[0].Hi != 4096+8*8-1 {
+		t.Fatalf("stored %v, want one merged access [4096..4159]", got)
+	}
+}
+
+// TestRecordedAdjacentRunAllocatesNothing: with recording on, an
+// adjacent run allocates nothing once warm, fed one event at a time or
+// as one batch; the frontier probe's recorded Stab included.
+func TestRecordedAdjacentRunAllocatesNothing(t *testing.T) {
+	z := New(WithRecorder(obs.NewRegistry(), 0))
+	run := make([]detector.Event, 64)
+	for i := range run {
+		run[i] = detector.Event{Acc: access.Access{
+			Interval: interval.Span(uint64(4096+i*8), 8),
+			Type:     access.RMAWrite,
+			Rank:     1,
+			Debug:    access.Debug{File: "halo.c", Line: 3},
+		}}
+	}
+	for name, feed := range map[string]func(){
+		"Access": func() {
+			for _, ev := range run {
+				z.Access(ev)
+			}
+		},
+		"AccessBatch": func() { z.AccessBatch(run) },
+	} {
+		feed() // warm: the recorder's first series
+		z.EpochEnd()
+		if n := testing.AllocsPerRun(20, func() { feed(); z.EpochEnd() }); n != 0 {
+			t.Errorf("%s: %.1f allocations per recorded run, want 0", name, n)
+		}
 	}
 }

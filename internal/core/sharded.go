@@ -117,8 +117,7 @@ func (s *Sharded) Access(ev detector.Event) *detector.Race {
 
 // AccessBatch implements detector.BatchAnalyzer: the batch is
 // partitioned by shard (preserving per-shard order) and each shard
-// processes its sub-batch through the sub-analyzer's own batch fast
-// path.
+// analyses its sub-batch in order.
 func (s *Sharded) AccessBatch(evs []detector.Event) *detector.Race {
 	for i := range s.route {
 		s.route[i] = s.route[i][:0]

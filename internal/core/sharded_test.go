@@ -137,8 +137,8 @@ func TestShardEquivalenceRandom(t *testing.T) {
 }
 
 // TestShardEquivalenceBatch drives safe random streams through the
-// AccessBatch fast path of both analyzers (the engine's pipeline shape)
-// and compares the canonical stored sets.
+// AccessBatch entry point of both analyzers (the engine's pipeline
+// shape) and compares the canonical stored sets.
 func TestShardEquivalenceBatch(t *testing.T) {
 	for _, shards := range []int{2, 8} {
 		for trial := 0; trial < 8; trial++ {

@@ -170,9 +170,9 @@ type Analyzer interface {
 
 // BatchAnalyzer is the optional batch-processing capability of the
 // notification pipeline: AccessBatch must be equivalent to calling
-// Access on each event in order, returning the first race. Analyzers
-// implement it to amortise per-event work across a batch (the
-// contribution's adjacent-merge fast path).
+// Access on each event in order, returning the first race. The
+// contribution implements it as exactly that loop, so its
+// adjacent-merge fast path runs the same per event and per batch.
 type BatchAnalyzer interface {
 	AccessBatch(evs []Event) *Race
 }

@@ -1,8 +1,6 @@
 package detector
 
 import (
-	"fmt"
-	"io"
 	"sync"
 
 	"rmarace/internal/access"
@@ -132,26 +130,4 @@ func (f *FlightLog) Snapshot() []FlightEntry {
 	n := copy(out, f.buf[start:])
 	copy(out[n:], f.buf[:start])
 	return out
-}
-
-// WriteFlight renders entries as the human postmortem dump, marking the
-// two conflicting accesses of race when they appear.
-func WriteFlight(w io.Writer, entries []FlightEntry, race *Race) {
-	for _, e := range entries {
-		marker := "  "
-		if race != nil && e.Kind == FlightAccess && race.Involves(e.Acc) {
-			marker = ">>"
-		}
-		switch e.Kind {
-		case FlightAccess:
-			a := e.Acc
-			fmt.Fprintf(w, "%s %6d  %-11s %-11s [%d..%d] rank=%d epoch=%d at %s\n",
-				marker, e.Seq, e.Kind, a.Type, a.Lo, a.Hi, a.Rank, a.Epoch, a.Debug)
-			if st := a.FrameString(); st != "" {
-				fmt.Fprintf(w, "%s         stack: %s\n", marker, st)
-			}
-		default:
-			fmt.Fprintf(w, "%s %6d  %-11s origin=%d\n", marker, e.Seq, e.Kind, e.Origin)
-		}
-	}
 }

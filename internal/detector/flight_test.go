@@ -1,7 +1,6 @@
 package detector
 
 import (
-	"strings"
 	"testing"
 
 	"rmarace/internal/access"
@@ -66,40 +65,5 @@ func TestNilFlightLogInert(t *testing.T) {
 	f.Mark(FlightSync, 0)
 	if snap := f.Snapshot(); snap != nil {
 		t.Fatalf("nil log snapshotted %v", snap)
-	}
-}
-
-// TestWriteFlightMarksConflict: the postmortem dump marks exactly the
-// two accesses matching the race verdict.
-func TestWriteFlightMarksConflict(t *testing.T) {
-	prev := flightAcc(64, 0, 666)
-	cur := flightAcc(64, 1, 667)
-	entries := []FlightEntry{
-		{Seq: 0, Kind: FlightAccess, Acc: flightAcc(0, 0, 100)},
-		{Seq: 1, Kind: FlightAccess, Acc: prev},
-		{Seq: 2, Kind: FlightEpochEnd, Origin: 0},
-		{Seq: 3, Kind: FlightAccess, Acc: cur},
-	}
-	race := &Race{Prev: prev, Cur: cur}
-	var sb strings.Builder
-	WriteFlight(&sb, entries, race)
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("dump has %d lines:\n%s", len(lines), sb.String())
-	}
-	marked := 0
-	for i, ln := range lines {
-		if strings.HasPrefix(ln, ">>") {
-			marked++
-			if i != 1 && i != 3 {
-				t.Fatalf("line %d wrongly marked: %s", i, ln)
-			}
-		}
-	}
-	if marked != 2 {
-		t.Fatalf("%d marked lines, want 2:\n%s", marked, sb.String())
-	}
-	if !strings.Contains(sb.String(), "epoch_end") {
-		t.Fatalf("sync marker missing from dump:\n%s", sb.String())
 	}
 }

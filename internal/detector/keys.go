@@ -79,20 +79,7 @@ func PairKey(x, y access.Access) RaceKey {
 }
 
 // DedupKey is the canonical deduplication key of a race verdict. Every
-// consumer that suppresses duplicate reports — the flight recorder's
-// conflict markers, the differential oracle, the fuzz driver — must use
-// this one definition so "the same race" means the same thing
-// everywhere.
+// consumer that suppresses duplicate reports — the differential
+// oracle, the fuzz driver — must use this one definition so "the same
+// race" means the same thing everywhere.
 func DedupKey(r *Race) RaceKey { return PairKey(r.Prev, r.Cur) }
-
-// Involves reports whether a could be one side of the race verdict r:
-// its identity matches a side and it overlaps that side's interval.
-// This is the flight recorder's marker predicate: a recorded access is
-// implicated even when the verdict carries only a fragment (narrowed)
-// or merged (widened) view of it.
-func (r *Race) Involves(a access.Access) bool {
-	if KeyOf(a) == KeyOf(r.Prev) && a.Intersects(r.Prev.Interval) {
-		return true
-	}
-	return KeyOf(a) == KeyOf(r.Cur) && a.Intersects(r.Cur.Interval)
-}

@@ -71,27 +71,3 @@ func TestDedupKeySurvivesFragmentNarrowing(t *testing.T) {
 		t.Fatalf("fragmented verdict keys differently: %+v vs %+v", got, want)
 	}
 }
-
-func TestInvolvesMatchesFragmentedVerdict(t *testing.T) {
-	orig := keyAcc(0, 16, access.RMAWrite, 1, 0, 10)
-	frag := orig
-	frag.Interval = interval.Span(8, 8)
-	cur := keyAcc(8, 8, access.RMAWrite, 2, 0, 20)
-	r := &Race{Prev: frag, Cur: cur}
-	if !r.Involves(orig) {
-		t.Error("original access not matched against its fragment's verdict")
-	}
-	if !r.Involves(cur) {
-		t.Error("inserted access not matched")
-	}
-	// Same identity elsewhere in memory must not be implicated.
-	far := orig
-	far.Interval = interval.Span(1000, 8)
-	if r.Involves(far) {
-		t.Error("non-overlapping access with equal identity wrongly implicated")
-	}
-	other := keyAcc(8, 8, access.RMAWrite, 3, 0, 30)
-	if r.Involves(other) {
-		t.Error("unrelated rank implicated")
-	}
-}

@@ -181,57 +181,27 @@ func Diff(p Program, schedSeeds []int64, cfgs []Config) (Result, error) {
 	return res, nil
 }
 
-// runMustRep drives the record stream through MUST-RMA analyzers
-// backed by the given shared clock state, one analyzer per owner,
-// stopping at the first race like the production engine. Replayed
-// records carry no clocks, so every analyzer snapshots at processing
-// time — deterministic for a fixed record order, which makes the two
-// representations comparable event by event.
-func runMustRep(recs []trace.Record, shared *detector.MustShared) (*detector.Race, error) {
-	analyzers := make(map[int]*detector.MustAnalyzer)
-	get := func(owner int) *detector.MustAnalyzer {
-		a, ok := analyzers[owner]
-		if !ok {
-			a = detector.NewMustRMA(shared, owner)
-			analyzers[owner] = a
-		}
-		return a
-	}
-	for _, rec := range recs {
-		switch rec.Kind {
-		case "access":
-			ev, err := rec.Event()
-			if err != nil {
-				return nil, err
-			}
-			if race := get(rec.Owner).Access(ev); race != nil {
-				return race, nil
-			}
-		case "epoch_end":
-			get(rec.Owner).EpochEnd()
-		case "release":
-			get(rec.Owner).Release(rec.Rank)
-		case "complete":
-			// MUST-RMA has no request-completion notion; keeping the
-			// accesses is sound (completion only ever removes pairs), and
-			// both clock representations see the identical no-op.
-		default:
-			return nil, fmt.Errorf("fuzz: unknown record kind %q", rec.Kind)
-		}
-	}
-	return nil, nil
-}
-
 // diffClockReps proves the adaptive epoch⇄vector clock representation
 // verdict-identical to the always-vector baseline on one record
 // stream: same race/no-race outcome and, when both race, the same
-// access pair. Returns a "clock-rep" divergence otherwise.
+// access pair. Both replay the stream through trace.ReplayStream with
+// one MUST-RMA analyzer per owner, as conformance's must-rma row does;
+// replayed records carry no clocks, so every analyzer snapshots at
+// processing time, which is deterministic for a fixed record order.
+// Returns a "clock-rep" divergence otherwise.
 func diffClockReps(recs []trace.Record, ranks int) (Divergence, bool, error) {
-	adaptive, err := runMustRep(recs, detector.NewMustShared(ranks))
+	replay := func(shared *detector.MustShared) (*detector.Race, error) {
+		src := trace.NewRecordSource(trace.Header{Ranks: ranks, Window: "fuzz"}, recs)
+		res, err := trace.ReplayStream(src, func(owner int) detector.Analyzer {
+			return detector.NewMustRMA(shared, owner)
+		}, trace.ReplayOpts{})
+		return res.Race, err
+	}
+	adaptive, err := replay(detector.NewMustShared(ranks))
 	if err != nil {
 		return Divergence{}, false, err
 	}
-	vector, err := runMustRep(recs, detector.NewMustSharedVector(ranks))
+	vector, err := replay(detector.NewMustSharedVector(ranks))
 	if err != nil {
 		return Divergence{}, false, err
 	}

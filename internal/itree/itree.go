@@ -434,8 +434,8 @@ func from(l *leaf, p int, iv interval.Interval) cursor {
 // VisitStab calls fn for each stored access intersecting iv in ascending
 // interval order, stopping early if fn returns false. It reports whether
 // the visit ran to completion. Like StabNeighbors it leaves a finger:
-// the batch path's emptiness probe is followed by an ExtendHi of the
-// access ending just before it.
+// core's frontier probe, an emptiness stab right of the access the last
+// insertion ended in, is followed by an ExtendHi of that access.
 func (t *Tree) VisitStab(iv interval.Interval, fn func(access.Access) bool) bool {
 	if t.levels == 0 {
 		return true

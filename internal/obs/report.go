@@ -280,24 +280,37 @@ func (r *RunReport) Summary(w io.Writer) {
 }
 
 // WriteFlight renders the race's flight-recorder snapshot as the human
-// postmortem dump — one line per retained event, oldest first, with the
-// two conflicting accesses marked ">>". It mirrors detector.WriteFlight
-// but reads the serialised report form, so `rmarace postmortem` can
-// dissect a report file long after the run is gone.
+// postmortem dump: one line per retained event, oldest first, each
+// access followed by its call stack when one was captured. Every access
+// that could be one side of the race is marked ">>": its rank, epoch,
+// type and location equal a side's and its interval overlaps that
+// side's, so an access the verdict holds only a fragment or a merge of
+// is marked too. It reads the serialised form, so a live race
+// (rma.RaceReport) and a report file render alike.
 func (rc *RaceReport) WriteFlight(w io.Writer) {
 	for _, fe := range rc.Flight {
-		marker := "  "
-		if fe.Acc != nil && (*fe.Acc == rc.Prev || *fe.Acc == rc.Cur) {
-			marker = ">>"
-		}
-		if fe.Acc != nil {
-			a := fe.Acc
-			fmt.Fprintf(w, "%s %6d  %-11s %-11s [%d..%d] rank=%d epoch=%d at %s\n",
-				marker, fe.Seq, fe.Kind, a.Type, a.Lo, a.Hi, a.Rank, a.Epoch, a.Location)
+		a := fe.Acc
+		if a == nil {
+			fmt.Fprintf(w, "   %6d  %-11s origin=%d\n", fe.Seq, fe.Kind, fe.Origin)
 			continue
 		}
-		fmt.Fprintf(w, "%s %6d  %-11s origin=%d\n", marker, fe.Seq, fe.Kind, fe.Origin)
+		marker := "  "
+		if a.overlapsSide(rc.Prev) || a.overlapsSide(rc.Cur) {
+			marker = ">>"
+		}
+		fmt.Fprintf(w, "%s %6d  %-11s %-11s [%d..%d] rank=%d epoch=%d at %s\n",
+			marker, fe.Seq, fe.Kind, a.Type, a.Lo, a.Hi, a.Rank, a.Epoch, a.Location)
+		if a.Stack != "" {
+			fmt.Fprintf(w, "%s         stack: %s\n", marker, a.Stack)
+		}
 	}
+}
+
+// overlapsSide reports whether a has side's rank, epoch, type and
+// location and overlaps its interval.
+func (a *AccessReport) overlapsSide(side AccessReport) bool {
+	return a.Rank == side.Rank && a.Epoch == side.Epoch && a.Type == side.Type &&
+		a.Location == side.Location && a.Lo <= side.Hi && side.Lo <= a.Hi
 }
 
 func writeAccess(w io.Writer, side string, a AccessReport) {

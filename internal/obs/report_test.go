@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -122,5 +123,48 @@ func TestSummaryMentionsKeyFacts(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWriteFlightMarksConflict: the postmortem dump marks every access
+// that could be one side of the verdict — equal rank, epoch, type and
+// location, overlapping interval — including the pieces a merged side
+// was built from and the whole of an access the side holds only a
+// fragment of, prints each captured stack under its access, and leaves
+// other accesses and synchronisation markers unmarked.
+func TestWriteFlightMarksConflict(t *testing.T) {
+	acc := func(lo, hi uint64, rank, line int, stack string) *AccessReport {
+		return &AccessReport{Rank: rank, Epoch: 1, Type: "RMA_Write", Lo: lo, Hi: hi,
+			Location: "f.c:" + strconv.Itoa(line), Stack: stack}
+	}
+	rc := RaceReport{
+		// Prev is the merge of the accesses at seq 1 and 2; Cur is the
+		// part of the access at seq 5 the verdict names.
+		Prev: *acc(64, 79, 0, 666, ""),
+		Cur:  *acc(72, 79, 1, 667, "main.go:9"),
+		Flight: []FlightEntryReport{
+			{Seq: 0, Kind: "access", Acc: acc(0, 7, 0, 666, "")},   // same site, no overlap
+			{Seq: 1, Kind: "access", Acc: acc(64, 71, 0, 666, "")}, // merged into Prev
+			{Seq: 2, Kind: "access", Acc: acc(72, 79, 0, 666, "")}, // merged into Prev
+			{Seq: 3, Kind: "epoch_end", Origin: 0},
+			{Seq: 4, Kind: "access", Acc: acc(64, 71, 0, 100, "")}, // overlaps, other line
+			{Seq: 5, Kind: "access", Acc: acc(64, 95, 1, 667, "main.go:9")},
+			{Seq: 6, Kind: "access", Acc: acc(72, 79, 2, 667, "")}, // overlaps, other rank
+		},
+	}
+	var sb strings.Builder
+	rc.WriteFlight(&sb)
+	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
+	var marked []string
+	for _, ln := range lines {
+		if strings.HasPrefix(ln, ">>") {
+			marked = append(marked, strings.Fields(ln)[1])
+		}
+	}
+	if want := []string{"1", "2", "5", "stack:"}; !reflect.DeepEqual(marked, want) {
+		t.Fatalf("marked %v, want %v:\n%s", marked, want, sb.String())
+	}
+	if len(lines) != 8 || !strings.Contains(lines[3], "epoch_end") || !strings.HasSuffix(lines[6], "stack: main.go:9") {
+		t.Fatalf("dump lines:\n%s", sb.String())
 	}
 }

@@ -1,9 +1,6 @@
 package rma
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"rmarace/internal/access"
 	"rmarace/internal/obs/span"
 )
@@ -18,106 +15,17 @@ import (
 // MPI_Get only; the legacy analyzer conservatively flags concurrent
 // accumulates, one of its documented limitations.
 func (w *Win) Accumulate(target, targetOff int, src *Buffer, srcOff, n int, op access.AccumOp, dbg access.Debug) error {
-	if target < 0 || target >= w.p.Size() {
-		return fmt.Errorf("rma: accumulate to invalid rank %d", target)
-	}
-	if !w.epochOpen && !w.lockedFor(target) && !w.pscwTargets[target] {
-		return ErrNoEpoch
-	}
-	if op == access.AccumNone {
-		return fmt.Errorf("rma: accumulate requires a reduction operation")
-	}
-	if n%8 != 0 {
-		return fmt.Errorf("rma: accumulate length %d is not a multiple of the 8-byte datatype", n)
-	}
-	g := w.g
-	tgtMem := g.mems[target]
-	callTime := w.p.tick()
-	origin := w.p.Rank()
-	clk := w.callClock(origin, callTime)
-	var spanT0 int64
-	if w.spOn {
-		spanT0 = w.sp.Now()
-	}
-
-	// Origin side: the source buffer is read, exactly like a Put.
-	originEpoch := g.eng.Epoch(origin)
-	evO := rmaEvent(src, srcOff, n, access.RMARead, origin, originEpoch, callTime, dbg)
-	evO.Clock = clk
-	if err := w.analyse(origin, evO); err != nil {
-		return err
-	}
-
-	// Element-wise atomic combine into the target memory.
-	g.copyMu.Lock()
-	for i := 0; i < n; i += 8 {
-		dst := tgtMem.data[targetOff+i : targetOff+i+8]
-		cur := binary.LittleEndian.Uint64(dst)
-		val := binary.LittleEndian.Uint64(src.data[srcOff+i : srcOff+i+8])
-		binary.LittleEndian.PutUint64(dst, applyAccum(op, cur, val))
-	}
-	g.copyMu.Unlock()
-
-	// Target side: an RMA_Accum access carrying the operation.
-	ev := rmaEvent(tgtMem, targetOff, n, access.RMAAccum, origin, 0, callTime, dbg)
-	ev.Acc.AccumOp = op
-	ev.Clock = clk
-	err := w.notify(target, ev)
-	if w.spOn {
-		w.sp.Record(origin, span.Record{
-			Kind:  span.KindAccum,
-			Start: spanT0, Dur: w.sp.Now() - spanT0,
-			A: int64(target), B: int64(n),
-		})
-	}
+	_, err := w.issue(oneSided{kind: span.KindAccum, target: target, targetOff: targetOff, n: n, local: src, localOff: srcOff, op: op}, dbg)
 	return err
 }
 
 // FetchAndOp performs an MPI_Fetch_and_op on one 8-byte element: it
 // atomically combines value into target's window at targetOff and
 // returns the previous content. Like Accumulate, same-operation
-// FetchAndOps never race with each other.
+// FetchAndOps never race with each other. It has no origin buffer, so
+// only the target side is analysed.
 func (w *Win) FetchAndOp(target, targetOff int, value uint64, op access.AccumOp, dbg access.Debug) (uint64, error) {
-	if target < 0 || target >= w.p.Size() {
-		return 0, fmt.Errorf("rma: fetch-and-op to invalid rank %d", target)
-	}
-	if !w.epochOpen && !w.lockedFor(target) && !w.pscwTargets[target] {
-		return 0, ErrNoEpoch
-	}
-	if op == access.AccumNone {
-		return 0, fmt.Errorf("rma: fetch-and-op requires a reduction operation")
-	}
-	g := w.g
-	tgtMem := g.mems[target]
-	callTime := w.p.tick()
-	origin := w.p.Rank()
-	clk := w.callClock(origin, callTime)
-	var spanT0 int64
-	if w.spOn {
-		spanT0 = w.sp.Now()
-	}
-
-	g.copyMu.Lock()
-	dst := tgtMem.data[targetOff : targetOff+8]
-	old := binary.LittleEndian.Uint64(dst)
-	binary.LittleEndian.PutUint64(dst, applyAccum(op, old, value))
-	g.copyMu.Unlock()
-
-	ev := rmaEvent(tgtMem, targetOff, 8, access.RMAAccum, origin, 0, callTime, dbg)
-	ev.Acc.AccumOp = op
-	ev.Clock = clk
-	err := w.notify(target, ev)
-	if w.spOn {
-		w.sp.Record(origin, span.Record{
-			Kind:  span.KindAccum,
-			Start: spanT0, Dur: w.sp.Now() - spanT0,
-			A: int64(target), B: 8,
-		})
-	}
-	if err != nil {
-		return 0, err
-	}
-	return old, nil
+	return w.issue(oneSided{kind: span.KindAccum, target: target, targetOff: targetOff, n: 8, op: op, operand: value}, dbg)
 }
 
 func applyAccum(op access.AccumOp, cur, val uint64) uint64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rmarace/internal/access"
+	"rmarace/internal/obs/span"
 )
 
 // Vector describes an MPI vector datatype: Count blocks of BlockLen
@@ -39,40 +40,31 @@ func (v Vector) extent() int { return (v.Count-1)*v.Stride + v.BlockLen }
 // at targetOff + k·Stride. Each block is one origin-side read and one
 // target-side write access.
 func (w *Win) PutVector(target, targetOff int, src *Buffer, srcOff int, v Vector, dbg access.Debug) error {
-	return w.vectorOp(target, targetOff, src, srcOff, v, dbg, true)
+	return w.issueVector(oneSided{kind: span.KindPut, target: target, targetOff: targetOff, local: src, localOff: srcOff}, v, dbg)
 }
 
 // GetVector performs an MPI_Get with a vector datatype on both sides.
 func (w *Win) GetVector(dst *Buffer, dstOff, target, targetOff int, v Vector, dbg access.Debug) error {
-	return w.vectorOp(target, targetOff, dst, dstOff, v, dbg, false)
+	return w.issueVector(oneSided{kind: span.KindGet, target: target, targetOff: targetOff, local: dst, localOff: dstOff}, v, dbg)
 }
 
-func (w *Win) vectorOp(target, targetOff int, local *Buffer, localOff int, v Vector, dbg access.Debug, isPut bool) error {
+// issueVector issues o once per block of v. The whole extent is checked
+// first, so no block fails a check after earlier blocks were issued.
+func (w *Win) issueVector(o oneSided, v Vector, dbg access.Debug) error {
 	if err := v.validate(); err != nil {
 		return err
 	}
-	if target < 0 || target >= w.p.Size() {
-		return fmt.Errorf("rma: vector operation to invalid rank %d", target)
+	o.n = v.extent()
+	if err := w.check(o); err != nil {
+		return err
 	}
-	if w.freed {
-		return ErrFreed
-	}
-	if !w.epochOpen && !w.lockedFor(target) && !w.pscwTargets[target] {
-		return ErrNoEpoch
-	}
-	// Bounds are checked up front so a partially-issued operation never
-	// panics halfway through.
-	if localOff < 0 || localOff+v.extent() > local.Size() {
-		return fmt.Errorf("rma: vector [%d,%d) out of bounds of %q", localOff, localOff+v.extent(), local.Name())
-	}
-	tgtMem := w.g.mems[target]
-	if targetOff < 0 || targetOff+v.extent() > tgtMem.Size() {
-		return fmt.Errorf("rma: vector [%d,%d) out of bounds of target window", targetOff, targetOff+v.extent())
-	}
+	o.n = v.BlockLen
 	for k := 0; k < v.Count; k++ {
-		if err := w.onesided(target, targetOff+k*v.Stride, local, localOff+k*v.Stride, v.BlockLen, dbg, isPut); err != nil {
+		if _, err := w.issue(o, dbg); err != nil {
 			return err
 		}
+		o.targetOff += v.Stride
+		o.localOff += v.Stride
 	}
 	return nil
 }

@@ -92,13 +92,11 @@ type Config struct {
 	TelemetryAddr string
 	// Spans enables causal span tracing (package internal/obs/span):
 	// epochs, one-sided operations, flushes and notification batches are
-	// recorded into per-rank ring buffers and exported as Chrome
-	// trace-event JSON by Session.WriteSpans. Off by default; the
-	// disabled path costs one cached-bool branch per site.
+	// recorded into per-rank ring buffers of span.DefaultDepth records
+	// and exported as Chrome trace-event JSON by Session.WriteSpans. Off
+	// by default; the disabled path costs one cached-bool branch per
+	// site.
 	Spans bool
-	// SpanDepth overrides the per-rank span ring depth
-	// (span.DefaultDepth when zero). Only meaningful with Spans.
-	SpanDepth int
 	// FlightLog, when positive, keeps a flight recorder of the last
 	// FlightLog accesses and synchronisations per (rank, window); a
 	// detected race then carries the owner's snapshot
@@ -149,7 +147,7 @@ func NewSession(world *mpi.World, cfg Config) *Session {
 		s.must = detector.NewMustShared(world.Size())
 	}
 	if cfg.Spans {
-		s.spans = span.NewTracer(world.Size(), cfg.SpanDepth)
+		s.spans = span.NewTracer(world.Size(), span.DefaultDepth)
 	}
 	if cfg.TelemetryAddr != "" {
 		// A telemetry server without a registry would scrape empty, so

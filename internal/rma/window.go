@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -190,15 +191,6 @@ func (p *Proc) WinCreate(name string, size int, opts ...BufOpt) (*Win, error) {
 	}, nil
 }
 
-// analyse runs one event through rank's analyzer, aborting the world on
-// a detected race. It returns the race as an error, or nil.
-func (g *winGlobal) analyse(rank int, ev detector.Event) error {
-	if race := g.eng.Analyse(rank, ev); race != nil {
-		return race
-	}
-	return nil
-}
-
 // Buffer returns the rank's exposed window memory; local accesses on it
 // are "in window" accesses.
 func (w *Win) Buffer() *Buffer { return w.buf }
@@ -206,9 +198,13 @@ func (w *Win) Buffer() *Buffer { return w.buf }
 // Name returns the window name.
 func (w *Win) Name() string { return w.g.name }
 
-// analyse routes a local access of this window's owner.
+// analyse runs one event through rank's analyzer, aborting the world on
+// a detected race. It returns the race as an error, or nil.
 func (w *Win) analyse(rank int, ev detector.Event) error {
-	return w.g.analyse(rank, ev)
+	if race := w.g.eng.Analyse(rank, ev); race != nil {
+		return race
+	}
+	return nil
 }
 
 // notify queues one target-side access for target's receiver,
@@ -364,10 +360,10 @@ func (w *Win) UnlockAll() error {
 	return nil
 }
 
-// rmaEvent builds the event for one side of a one-sided operation. RMA
-// accesses are never alias-filtered: the MPI call itself is always
-// intercepted.
-func rmaEvent(b *Buffer, off, n int, tp access.Type, origin int, epoch, callTime uint64, dbg access.Debug) detector.Event {
+// rmaEvent builds the event for one side of a one-sided operation,
+// carrying the origin's call-site clock. RMA accesses are never
+// alias-filtered: the MPI call itself is always intercepted.
+func rmaEvent(b *Buffer, off, n int, tp access.Type, origin int, epoch, callTime uint64, clk vc.HB, dbg access.Debug) detector.Event {
 	return detector.Event{
 		Acc: access.Access{
 			Interval: b.span(off, n),
@@ -380,6 +376,7 @@ func rmaEvent(b *Buffer, off, n int, tp access.Type, origin int, epoch, callTime
 		},
 		Time:     callTime,
 		CallTime: callTime,
+		Clock:    clk,
 	}
 }
 
@@ -387,28 +384,86 @@ func rmaEvent(b *Buffer, off, n int, tp access.Type, origin int, epoch, callTime
 // (MPI_Put): an RMA_Read of the origin buffer and an RMA_Write of the
 // target window region.
 func (w *Win) Put(target, targetOff int, src *Buffer, srcOff, n int, dbg access.Debug) error {
-	return w.onesided(target, targetOff, src, srcOff, n, dbg, true)
+	_, err := w.issue(oneSided{kind: span.KindPut, target: target, targetOff: targetOff, n: n, local: src, localOff: srcOff}, dbg)
+	return err
 }
 
 // Get reads n bytes from target's window at targetOff into dst at
 // dstOff (MPI_Get): an RMA_Write of the origin buffer and an RMA_Read
 // of the target window region.
 func (w *Win) Get(dst *Buffer, dstOff, target, targetOff, n int, dbg access.Debug) error {
-	return w.onesided(target, targetOff, dst, dstOff, n, dbg, false)
+	_, err := w.issue(oneSided{kind: span.KindGet, target: target, targetOff: targetOff, n: n, local: dst, localOff: dstOff}, dbg)
+	return err
 }
 
-func (w *Win) onesided(target, targetOff int, local *Buffer, localOff, n int, dbg access.Debug, isPut bool) error {
-	if target < 0 || target >= w.p.Size() {
-		return fmt.Errorf("rma: one-sided operation to invalid rank %d", target)
+// oneSided is one contiguous one-sided operation of kind span.KindPut,
+// KindGet or KindAccum: n bytes of target's window at targetOff, and the
+// origin buffer region at localOff that Put and Accumulate read and Get
+// writes. FetchAndOp has no origin buffer (local is nil): it combines
+// operand into the target and makes no origin-side access.
+type oneSided struct {
+	kind                 span.Kind
+	target, targetOff, n int
+	local                *Buffer
+	localOff             int
+	op                   access.AccumOp
+	operand              uint64
+}
+
+// check runs every check a one-sided operation must pass before it has
+// any side effect: a valid target rank, a live window, an epoch open
+// towards the target, a reduction operation and a whole number of
+// 8-byte elements for an accumulate, and both regions inside their
+// buffers.
+func (w *Win) check(o oneSided) error {
+	if o.target < 0 || o.target >= w.p.Size() {
+		return fmt.Errorf("rma: one-sided operation to invalid rank %d", o.target)
 	}
 	if w.freed {
 		return ErrFreed
 	}
-	if !w.epochOpen && !w.lockedFor(target) && !w.pscwTargets[target] {
+	if !w.epochOpen && !w.lockedFor(o.target) && !w.pscwTargets[o.target] {
 		return ErrNoEpoch
 	}
+	if o.kind == span.KindAccum {
+		if o.op == access.AccumNone {
+			return errors.New("rma: accumulate requires a reduction operation")
+		}
+		if o.n%8 != 0 {
+			return fmt.Errorf("rma: accumulate length %d is not a multiple of the 8-byte datatype", o.n)
+		}
+	}
+	if err := inBounds(w.g.mems[o.target], o.targetOff, o.n); err != nil {
+		return err
+	}
+	if o.local != nil {
+		return inBounds(o.local, o.localOff, o.n)
+	}
+	return nil
+}
+
+// inBounds reports an error unless [off, off+n) is a non-empty region
+// of b.
+func inBounds(b *Buffer, off, n int) error {
+	if off < 0 || n <= 0 || off > b.Size()-n {
+		return fmt.Errorf("rma: one-sided region [%d,%d) out of bounds of %q (size %d)", off, off+n, b.Name(), b.Size())
+	}
+	return nil
+}
+
+// issue runs one one-sided operation, the one path every Put, Get,
+// Accumulate, FetchAndOp and vector block takes: the checks, then the
+// origin-side access (analysed locally), the data movement, the
+// target-side access (notified to the target's receiver, the paper's
+// MPI_Send on the hidden communicator, which stamps the target's epoch)
+// and the span. It returns the target's previous first element, which
+// FetchAndOp reports.
+func (w *Win) issue(o oneSided, dbg access.Debug) (uint64, error) {
+	if err := w.check(o); err != nil {
+		return 0, err
+	}
 	g := w.g
-	tgtMem := g.mems[target]
+	tgtMem := g.mems[o.target]
 	callTime := w.p.tick()
 	origin := w.p.Rank()
 	clk := w.callClock(origin, callTime)
@@ -417,46 +472,55 @@ func (w *Win) onesided(target, targetOff int, local *Buffer, localOff, n int, db
 		spanT0 = w.sp.Now()
 	}
 
-	localType, remoteType := access.RMAWrite, access.RMARead // Get
-	if isPut {
-		localType, remoteType = access.RMARead, access.RMAWrite
+	localType, remoteType := access.RMARead, access.RMAWrite // Put
+	switch o.kind {
+	case span.KindGet:
+		localType, remoteType = access.RMAWrite, access.RMARead
+	case span.KindAccum:
+		remoteType = access.RMAAccum
+	}
+	if o.local != nil {
+		evO := rmaEvent(o.local, o.localOff, o.n, localType, origin, g.eng.Epoch(origin), callTime, clk, dbg)
+		if err := w.analyse(origin, evO); err != nil {
+			return 0, err
+		}
 	}
 
-	// Origin-side access, analysed locally.
-	originEpoch := g.eng.Epoch(origin)
-	evO := rmaEvent(local, localOff, n, localType, origin, originEpoch, callTime, dbg)
-	evO.Clock = clk
-	if err := w.analyse(origin, evO); err != nil {
-		return err
-	}
-
-	// Data movement (the window memory itself).
+	var old uint64
+	tgt := tgtMem.data[o.targetOff : o.targetOff+o.n]
 	g.copyMu.Lock()
-	if isPut {
-		copy(tgtMem.data[targetOff:targetOff+n], local.data[localOff:localOff+n])
-	} else {
-		copy(local.data[localOff:localOff+n], tgtMem.data[targetOff:targetOff+n])
+	switch o.kind {
+	case span.KindPut:
+		copy(tgt, o.local.data[o.localOff:])
+	case span.KindGet:
+		copy(o.local.data[o.localOff:o.localOff+o.n], tgt)
+	case span.KindAccum:
+		// Element-wise atomic combine: n is a multiple of 8.
+		old = binary.LittleEndian.Uint64(tgt)
+		for i := 0; i < o.n; i += 8 {
+			val := o.operand
+			if o.local != nil {
+				val = binary.LittleEndian.Uint64(o.local.data[o.localOff+i:])
+			}
+			binary.LittleEndian.PutUint64(tgt[i:], applyAccum(o.op, binary.LittleEndian.Uint64(tgt[i:]), val))
+		}
 	}
 	g.copyMu.Unlock()
 
-	// Target-side access, notified to the target's receiver (the
-	// paper's MPI_Send on the hidden communicator). The receiver stamps
-	// the target's epoch.
-	ev := rmaEvent(tgtMem, targetOff, n, remoteType, origin, 0, callTime, dbg)
-	ev.Clock = clk
-	err := w.notify(target, ev)
+	ev := rmaEvent(tgtMem, o.targetOff, o.n, remoteType, origin, 0, callTime, clk, dbg)
+	ev.Acc.AccumOp = o.op
+	err := w.notify(o.target, ev)
 	if w.spOn {
-		kind := span.KindGet
-		if isPut {
-			kind = span.KindPut
-		}
 		w.sp.Record(origin, span.Record{
-			Kind:  kind,
+			Kind:  o.kind,
 			Start: spanT0, Dur: w.sp.Now() - spanT0,
-			A: int64(target), B: int64(n),
+			A: int64(o.target), B: int64(o.n),
 		})
 	}
-	return err
+	if err != nil {
+		return 0, err
+	}
+	return old, nil
 }
 
 // callClock captures the origin's MUST-RMA happens-before clock at the

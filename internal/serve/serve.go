@@ -63,9 +63,9 @@ import (
 	"rmarace/internal/tracebin"
 )
 
-// SessionOpts is one session's analysis configuration: the daemon's
-// defaults, overridable per request through query parameters (method,
-// store, shards, batch, evict, compact, flight).
+// SessionOpts is one session's analysis configuration, set per request
+// through query parameters (method, store, shards, batch, evict,
+// compact, flight, spans, spandepth).
 type SessionOpts struct {
 	Method  detector.Method
 	Store   string
@@ -103,9 +103,6 @@ type Config struct {
 	// Retain is how many completed sessions keep their verdict, report
 	// and flight log available over the session API. Default 256.
 	Retain int
-	// Defaults is the analysis configuration of a session that sets no
-	// query parameters. A zero Method is the contribution detector.
-	Defaults SessionOpts
 	// Registry is the daemon-wide metrics registry behind /metrics;
 	// created when nil.
 	Registry *obs.Registry
@@ -137,12 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retain <= 0 {
 		c.Retain = 256
-	}
-	if c.Defaults.Method == 0 {
-		c.Defaults.Method = detector.OurContribution
-	}
-	if c.Defaults.Shards < 1 {
-		c.Defaults.Shards = 1
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -279,10 +270,10 @@ func (d *Daemon) tenantLocked(name string) *tenantState {
 	return ts
 }
 
-// parseOpts applies a request's query parameters over the daemon's
-// session defaults.
-func (d *Daemon) parseOpts(r *http.Request) (SessionOpts, error) {
-	o := d.cfg.Defaults
+// parseOpts reads a session's configuration from the request's query
+// parameters; a session that sets none runs the contribution unsharded.
+func parseOpts(r *http.Request) (SessionOpts, error) {
+	o := SessionOpts{Method: detector.OurContribution, Shards: 1}
 	q := r.URL.Query()
 	if v := q.Get("method"); v != "" {
 		m, err := detector.MethodByName(v)
@@ -401,7 +392,7 @@ func retryAfterSeconds(d time.Duration) string {
 func (d *Daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
 	ctx := olog.WithSession(r.Context(), tenant, "")
-	opts, err := d.parseOpts(r)
+	opts, err := parseOpts(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -599,11 +590,9 @@ func (d *Daemon) handlePostmortem(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "RACE: %s\n", race.Message())
-	if p := race.Prov; p != nil {
-		fmt.Fprintf(w, "  window=%s owner=%d shard=%d\n", p.Window, p.Owner, p.Shard)
-	}
-	detector.WriteFlight(w, race.FlightLog, race)
+	rc := rma.RaceReport(race)
+	fmt.Fprintf(w, "RACE: %s\n  window=%s owner=%d shard=%d\n", rc.Message, rc.Window, rc.Owner, rc.Shard)
+	rc.WriteFlight(w)
 }
 
 // handleTenants reports the tenant-name -> metric-label mapping, so a

@@ -26,6 +26,13 @@ type Instrumented struct {
 	inner AccessStore
 	rec   obs.Recorder
 	label int
+	// visited counts the entries the running Stab has passed on to
+	// stabFn. count, the method value Stab hands the backend, is bound
+	// once in Instrument: a closure over a per-call counter would cost
+	// an allocation on every recorded stab.
+	visited int64
+	stabFn  func(access.Access) bool
+	count   func(access.Access) bool
 }
 
 // instrumentedExtender adds the in-place extension capability for
@@ -43,6 +50,7 @@ func Instrument(s AccessStore, rec obs.Recorder, label int) AccessStore {
 		return s
 	}
 	w := &Instrumented{inner: s, rec: rec, label: label}
+	w.count = w.countVisit
 	if ext, ok := s.(Extender); ok {
 		return &instrumentedExtender{Instrumented: w, ext: ext}
 	}
@@ -79,13 +87,17 @@ func (s *Instrumented) Delete(iv interval.Interval) bool {
 // Stab implements AccessStore, recording the number of entries the
 // query visited.
 func (s *Instrumented) Stab(iv interval.Interval, fn func(access.Access) bool) bool {
-	visited := int64(0)
-	complete := s.inner.Stab(iv, func(a access.Access) bool {
-		visited++
-		return fn(a)
-	})
-	s.rec.Observe(obs.StabVisited, s.label, visited)
+	s.visited, s.stabFn = 0, fn
+	complete := s.inner.Stab(iv, s.count)
+	s.stabFn = nil
+	s.rec.Observe(obs.StabVisited, s.label, s.visited)
 	return complete
+}
+
+// countVisit counts one entry the running Stab visited and passes it on.
+func (s *Instrumented) countVisit(a access.Access) bool {
+	s.visited++
+	return s.stabFn(a)
 }
 
 // StabNeighbors implements NeighborStabber through the package helper

@@ -37,10 +37,10 @@ type ReplayOpts struct {
 	// snapshot like the live engine's does. At most MaxFlight.
 	FlightN int
 	// Batch coalesces up to Batch consecutive access events per owner
-	// into one event batch fed through detector.AccessBatch —
-	// the engine's notification-batch shape, which unlocks the
-	// contribution's adjacent-merge fast path on replays too. Values
-	// below 2 keep the per-event path. Batches are flushed before any
+	// into one event batch fed through detector.AccessBatch — the
+	// engine's notification-batch shape, one analyzer call per batch
+	// instead of per event. Values below 2 keep the per-event path.
+	// Batches are flushed before any
 	// synchronisation record of their owner, so verdicts are identical
 	// to unbatched replay. Span tracing and the flight recorder are
 	// per-event observers, so either forces the per-event path.

@@ -181,10 +181,16 @@ type (
 )
 
 // WriteFlight renders a race's flight-recorder snapshot as the human
-// postmortem dump, marking the two conflicting accesses — the library
-// form of `rmarace postmortem`.
+// postmortem dump, marking every access that could be one side of the
+// race — the library form of `rmarace postmortem`, through the same
+// report-form renderer. A nil race marks nothing.
 func WriteFlight(w io.Writer, entries []FlightEntry, race *Race) {
-	detector.WriteFlight(w, entries, race)
+	var rc obs.RaceReport
+	if race != nil {
+		rc = rma.RaceReport(race)
+	}
+	rc.Flight = rma.FlightReport(entries)
+	rc.WriteFlight(w)
 }
 
 // NewWorld creates a simulated MPI job of n ranks.
