@@ -1,9 +1,11 @@
 package cfdproxy
 
 import (
+	"runtime"
 	"testing"
 
 	"rmarace/internal/detector"
+	"rmarace/internal/rma"
 )
 
 func TestRunCleanUnderAllMethods(t *testing.T) {
@@ -109,5 +111,31 @@ func TestDefaultConfigShape(t *testing.T) {
 	nodes := 2 * 2 * (cfg.Ranks - 1) * (cfg.Iters / 2) * cfg.Points
 	if nodes < 85000 || nodes > 95000 {
 		t.Fatalf("default calibration gives %d legacy nodes per process, want ≈90,004", nodes)
+	}
+}
+
+// TestWarmRunAllocatesUnderOneMB: a warm live-halo-sized run under the
+// contribution allocates under 1 MB. The alias-filtered interior
+// accesses build no event, LoadU64 reads in place, batch slices come
+// back from the process-wide free list, and the world makes no mailbox
+// the run never sends to.
+func TestWarmRunAllocatesUnderOneMB(t *testing.T) {
+	cfg := Config{Ranks: 4, Iters: 20, Points: 40, InteriorOps: 200}
+	rc := rma.Config{Method: detector.OurContribution}
+	if _, err := RunOpts(cfg, rc); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunOpts(cfg, rc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Race != nil {
+		t.Fatalf("unexpected race: %v", res.Race)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("warm run allocated %d bytes in %d allocations, want under 1 MiB", got, after.Mallocs-before.Mallocs)
 	}
 }

@@ -214,7 +214,7 @@ func notificationBench(stream []detector.Event, batch int) func(*testing.B) {
 			// One analysis epoch per pass over the stream.
 			for off := 0; off < len(stream) && i < b.N; off += batch {
 				end := min(off+batch, len(stream))
-				evs := append(e.GetEventBuf(), stream[off:end]...)
+				evs := append(engine.GetEventBuf(), stream[off:end]...)
 				if err := e.Notify(0, evs); err != nil {
 					b.Fatal(err)
 				}

@@ -120,10 +120,6 @@ type Engine struct {
 	// channel full and had to block (atomic). Nothing is dropped; the
 	// counter makes the backpressure visible in the stats.
 	overflows []int64
-	// evFree is the engine's free list for notification batch slices. A
-	// plain buffered channel: contention is two CAS-ish operations, and
-	// unlike a sync.Pool nothing is dropped on GC.
-	evFree chan []detector.Event
 
 	// rec is the metrics sink (never nil: obs.Disabled when the config
 	// leaves it unset); recOn caches rec.Enabled() so disabled record
@@ -165,7 +161,6 @@ func New(cfg Config) *Engine {
 		epochs:    make([]uint64, cfg.Ranks),
 		overflows: make([]int64, cfg.Ranks),
 		started:   make([]bool, cfg.Ranks),
-		evFree:    make(chan []detector.Event, cfg.ChannelCap+eventPoolSlack),
 		closed:    make(chan struct{}),
 		rec:       obs.OrDisabled(cfg.Recorder),
 		spans:     cfg.Spans,
@@ -269,7 +264,7 @@ func (e *Engine) process(rank int, b Batch) {
 		e.raceFound(rank, race)
 	}
 	n := int64(len(b.Evs))
-	e.PutEventBuf(b.Evs)
+	putEventBuf(b.Evs)
 	e.addReceived(rank, n)
 }
 
@@ -507,71 +502,58 @@ func (e *Engine) Close() {
 	e.WakeAll()
 }
 
-// GetEventBuf takes a reusable event slice (length 0) from the engine's
-// pool, for callers assembling a Notify batch; the engine recycles the
-// slice after analysis. Falls back to the process-wide free list, so
-// buffers cycle between engines: a live session builds a new engine and
-// still reuses the slices its predecessors returned.
-func (e *Engine) GetEventBuf() []detector.Event {
-	select {
-	case b := <-e.evFree:
-		return b
-	default:
-		return getEventBuf()
-	}
+// freeBufs is the process-wide free list of notification batch slices.
+// Every engine's senders draw from it (GetEventBuf) and every engine's
+// receivers return to it after analysis (putEventBuf), so the engines a
+// new live session builds reuse the slices of finished ones. It is a
+// stack: the slice handed out is the one returned last, still warm in
+// cache. It holds nothing until the first batch comes back.
+var freeBufs struct {
+	mu   sync.Mutex
+	bufs [][]detector.Event
 }
 
-// PutEventBuf returns an event slice to the pool. The engine calls it on
-// every analysed batch, so slices cycle between the instrumentation
-// layer's notification assembly and the analysis side without
-// reallocating in steady state. A full per-engine pool overflows into
-// the process-wide pool instead of dropping the slice to the GC.
-func (e *Engine) PutEventBuf(evs []detector.Event) {
-	if cap(evs) == 0 {
-		return
+// maxFreeBufs bounds the free list at one engine's worth of batches: a
+// rank's DefaultChannelCap queued batches plus the few being filled or
+// analysed. Slices returned beyond it go to the GC.
+const maxFreeBufs = DefaultChannelCap + 64
+
+// eventBufCap sizes a fresh batch slice to one full batch at the
+// instrumentation layer's default batch size (rma.DefaultNotifBatch).
+const eventBufCap = 64
+
+// GetEventBuf takes a batch slice (length 0) from the process-wide free
+// list, or makes one when the list is empty, for callers assembling a
+// Notify batch. The receiver returns the slice to the list once the
+// batch is analysed, so the steady-state pipeline allocates nothing.
+func GetEventBuf() []detector.Event {
+	freeBufs.mu.Lock()
+	if n := len(freeBufs.bufs); n > 0 {
+		evs := freeBufs.bufs[n-1]
+		freeBufs.bufs[n-1] = nil
+		freeBufs.bufs = freeBufs.bufs[:n-1]
+		freeBufs.mu.Unlock()
+		return evs
 	}
-	select {
-	case e.evFree <- evs[:0]:
-	default:
-		putEventBuf(evs)
-	}
+	freeBufs.mu.Unlock()
+	return make([]detector.Event, 0, eventBufCap)
 }
 
-// sharedEvFree is the process-wide event-buffer free list behind
-// getEventBuf/putEventBuf: the overflow of every engine's own pool, so
-// batch slices outlive the engine that made them. A buffered channel,
-// like the per-engine pools: contention is two CAS-ish operations and
-// nothing is dropped on GC.
-var sharedEvFree = make(chan []detector.Event, 256)
-
-// getEventBuf takes a reusable event slice (length 0) from the
-// process-wide free list; plain make when the list is empty.
-func getEventBuf() []detector.Event {
-	select {
-	case b := <-sharedEvFree:
-		return b
-	default:
-		return make([]detector.Event, 0, defaultEventBufCap)
-	}
-}
-
-// putEventBuf returns an event slice to the process-wide free list.
+// putEventBuf clears an analysed batch and returns its slice to the
+// free list, so a pooled slice keeps no finished session's clocks or
+// debug strings alive. Clearing the batch's length suffices for the
+// slices GetEventBuf hands out: their tail past the length is zero, from
+// make, from append's growth or from the previous clear. A slice too
+// small for one default batch, such as a caller's literal, is left to
+// the GC, so every pooled slice holds a batch without growing.
 func putEventBuf(evs []detector.Event) {
-	if cap(evs) == 0 {
+	if cap(evs) < eventBufCap {
 		return
 	}
-	select {
-	case sharedEvFree <- evs[:0]:
-	default: // pool full; let the GC have it
+	clear(evs)
+	freeBufs.mu.Lock()
+	if len(freeBufs.bufs) < maxFreeBufs {
+		freeBufs.bufs = append(freeBufs.bufs, evs[:0])
 	}
+	freeBufs.mu.Unlock()
 }
-
-// defaultEventBufCap sizes fresh pool slices to hold a typical
-// notification batch without growing.
-const defaultEventBufCap = 128
-
-// eventPoolSlack pads the free-slice pool beyond the channel capacity:
-// up to ChannelCap batches sit in a rank's channel (plus the few being
-// filled or analysed), and the pool must be able to hold the whole
-// population or steady-state Gets miss and reallocate.
-const eventPoolSlack = 64

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"rmarace/internal/access"
 	"rmarace/internal/detector"
 	"rmarace/internal/interval"
+	"rmarace/internal/vc"
 )
 
 // stubAnalyzer records everything it is fed; an optional gate blocks
@@ -314,4 +316,59 @@ func TestCloseUnblocksBlockedSender(t *testing.T) {
 		}
 	})
 	close(gate)
+}
+
+// TestBatchSlicesOutliveTheirEngine: the batch slice a closed engine's
+// receiver returned after analysis is the next one GetEventBuf hands
+// out, without an allocation, and it comes back cleared, so the free
+// list keeps no finished session's clocks or debug strings alive. The
+// engine the next session builds analyses a batch in it as usual.
+func TestBatchSlicesOutliveTheirEngine(t *testing.T) {
+	stubs := []*stubAnalyzer{{}}
+	first := New(Config{Ranks: 1, NewAnalyzer: func(int) detector.Analyzer { return stubs[0] }})
+	first.StartReceiver(0)
+	evs := append(GetEventBuf(), ev(0, 8, 1), ev(8, 8, 2))
+	evs[0].Acc.Debug = access.Debug{File: "main.c", Line: 3}
+	evs[1].Clock = vc.New(4)
+	slot := &evs[:1][0]
+	if err := first.Notify(0, evs); err != nil {
+		t.Fatal(err)
+	}
+	within(t, 5*time.Second, "WaitReceived(2)", func() {
+		if err := first.WaitReceived(0, 2); err != nil {
+			t.Error(err)
+		}
+	})
+	first.Close()
+
+	var got []detector.Event
+	if n := testing.AllocsPerRun(10, func() {
+		got = GetEventBuf()
+		putEventBuf(got)
+	}); n != 0 {
+		t.Errorf("GetEventBuf allocated %.1f times per call with a returned slice pooled", n)
+	}
+	got = GetEventBuf()
+	if len(got) != 0 || cap(got) < 2 || &got[:1][0] != slot {
+		t.Fatalf("GetEventBuf handed out a new slice (len %d, cap %d), not the one the closed engine returned", len(got), cap(got))
+	}
+	for i, x := range got[:cap(got)] {
+		if !reflect.ValueOf(x).IsZero() {
+			t.Fatalf("pooled slot %d kept %+v", i, x)
+		}
+	}
+
+	stub := &stubAnalyzer{}
+	next := newTestEngine(t, 1, 8, []*stubAnalyzer{stub}, nil)
+	if err := next.Notify(0, append(got, ev(16, 8, 3))); err != nil {
+		t.Fatal(err)
+	}
+	within(t, 5*time.Second, "WaitReceived(1)", func() {
+		if err := next.WaitReceived(0, 1); err != nil {
+			t.Error(err)
+		}
+	})
+	if evs := stub.snapshot(); len(evs) != 1 || evs[0].Time != 3 {
+		t.Fatalf("next engine analysed %+v, want the one event at time 3", evs)
+	}
 }

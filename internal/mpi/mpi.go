@@ -82,9 +82,13 @@ type collResp struct {
 // World is one simulated MPI job. Create it with NewWorld and execute
 // the SPMD body with Run.
 type World struct {
-	n       int
-	inboxes []chan Message
-	collCh  chan collReq
+	n int
+	// inboxes holds each rank's point-to-point mailbox, made on the
+	// rank's first Send or Recv (inbox). Collectives do not use them,
+	// so a world that never sends holds none.
+	inboxes   []chan Message
+	inboxOnce []sync.Once
+	collCh    chan collReq
 
 	abortOnce sync.Once
 	abortCh   chan struct{}
@@ -105,15 +109,13 @@ func NewWorld(n int) *World {
 		panic("mpi: world size must be positive")
 	}
 	w := &World{
-		n:        n,
-		inboxes:  make([]chan Message, n),
-		collCh:   make(chan collReq, n),
-		abortCh:  make(chan struct{}),
-		doneCh:   make(chan struct{}),
-		nextAddr: make([]uint64, n),
-	}
-	for i := range w.inboxes {
-		w.inboxes[i] = make(chan Message, 4096)
+		n:         n,
+		inboxes:   make([]chan Message, n),
+		inboxOnce: make([]sync.Once, n),
+		collCh:    make(chan collReq, n),
+		abortCh:   make(chan struct{}),
+		doneCh:    make(chan struct{}),
+		nextAddr:  make([]uint64, n),
 	}
 	for i := range w.nextAddr {
 		// Give each rank its own distinct virtual address space start;
@@ -127,6 +129,19 @@ func NewWorld(n int) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.n }
+
+// inboxCap is the number of unreceived messages a rank's mailbox holds
+// before a Send to it blocks: Send models an eager MPI send, which
+// returns before the matching receive is posted.
+const inboxCap = 4096
+
+// inbox returns rank's mailbox, making it on first use: a mailbox is
+// inboxCap messages (160 KB), and only the ranks that exchange
+// point-to-point messages need one.
+func (w *World) inbox(rank int) chan Message {
+	w.inboxOnce[rank].Do(func() { w.inboxes[rank] = make(chan Message, inboxCap) })
+	return w.inboxes[rank]
+}
 
 // Abort terminates the world with err; the first call wins. All blocked
 // operations return ErrAborted.
@@ -290,7 +305,7 @@ func (p *Proc) Send(dst, tag int, data []byte) error {
 	}
 	msg := Message{Src: p.rank, Tag: tag, Data: data}
 	select {
-	case p.w.inboxes[dst] <- msg:
+	case p.w.inbox(dst) <- msg:
 		return nil
 	case <-p.w.abortCh:
 		return ErrAborted
@@ -306,9 +321,10 @@ func (p *Proc) Recv(src, tag int) (Message, error) {
 			return m, nil
 		}
 	}
+	inbox := p.w.inbox(p.rank)
 	for {
 		select {
-		case m := <-p.w.inboxes[p.rank]:
+		case m := <-inbox:
 			if matches(m, src, tag) {
 				return m, nil
 			}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -335,5 +336,58 @@ func TestManyRanksStress(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInboxesMadeOnFirstUse: a rank's 4,096-slot mailbox is made by the
+// first Send to it or Recv on it, so a world whose ranks only take
+// collectives holds none, and NewWorld's allocation does not grow by a
+// mailbox per rank. Messages still arrive whichever side of a pair
+// reaches the mailbox first.
+func TestInboxesMadeOnFirstUse(t *testing.T) {
+	const n = 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := NewWorld(n)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("NewWorld(%d) allocated %d bytes, want at most 64 KiB", n, got)
+	}
+	if err := w.Run(func(p *Proc) error {
+		_, err := p.Allreduce([]int64{1}, OpSum)
+		if err == nil {
+			err = p.Barrier()
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r, box := range w.inboxes {
+		if box != nil {
+			t.Fatalf("rank %d has an inbox after a collectives-only run", r)
+		}
+	}
+
+	// Ranks 0 and 2 send to ranks 1 and 3: only the receivers' mailboxes
+	// are made.
+	w = NewWorld(4)
+	if err := w.Run(func(p *Proc) error {
+		switch p.Rank() {
+		case 0, 2:
+			return p.Send(p.Rank()+1, 5, []byte{byte(p.Rank())})
+		default:
+			m, err := p.Recv(p.Rank()-1, 5)
+			if err == nil && (m.Src != p.Rank()-1 || len(m.Data) != 1 || int(m.Data[0]) != m.Src) {
+				err = fmt.Errorf("rank %d got %+v", p.Rank(), m)
+			}
+			return err
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r, box := range w.inboxes {
+		if want := r%2 == 1; (box != nil) != want {
+			t.Errorf("rank %d has an inbox: %v, want %v", r, box != nil, want)
+		}
 	}
 }

@@ -38,12 +38,20 @@ func (p *Proc) tick() uint64 {
 // space. Loads and stores through it are observed by the analyzers;
 // Raw gives uninstrumented access for verification code.
 type Buffer struct {
-	p       *Proc
-	name    string
-	base    uint64
-	data    []byte
-	stack   bool
-	tracked bool
+	p     *Proc
+	name  string
+	base  uint64
+	data  []byte
+	stack bool
+	// filtered marks a buffer the compile-time alias analysis proved
+	// never to alias an RMA region (Untracked), unless the session runs
+	// with DisableAliasFilter. skip is decided from it once, at Alloc:
+	// under every method but MUST-RMA the buffer's local accesses are
+	// not instrumented, so they build no event and reach no analyzer.
+	// MUST-RMA's ThreadSanitizer instruments them anyway, as Filtered
+	// events.
+	filtered bool
+	skip     bool
 	// winG is set when the buffer is a window's exposed memory: its
 	// bytes may be touched by remote copies, so the owner's local
 	// accesses serialise on the window's copy mutex.
@@ -59,10 +67,10 @@ type BufOpt func(*Buffer)
 func OnStack() BufOpt { return func(b *Buffer) { b.stack = true } }
 
 // Untracked marks the buffer as proven by the compile-time alias
-// analysis to never alias an RMA region: its local accesses are
-// Filtered events, skipped by the tree-based analyzers but still
-// instrumented by ThreadSanitizer.
-func Untracked() BufOpt { return func(b *Buffer) { b.tracked = false } }
+// analysis to never alias an RMA region: its local accesses are not
+// instrumented for the tree-based analyzers and Baseline, but are for
+// the MUST-RMA simulator (ThreadSanitizer), which pays for them.
+func Untracked() BufOpt { return func(b *Buffer) { b.filtered = true } }
 
 // Alloc reserves an instrumented buffer of size bytes in this rank's
 // address space.
@@ -71,15 +79,17 @@ func (p *Proc) Alloc(name string, size int, opts ...BufOpt) *Buffer {
 		panic(fmt.Sprintf("rma: Alloc(%q) with size %d", name, size))
 	}
 	b := &Buffer{
-		p:       p,
-		name:    name,
-		base:    p.AllocAddr(uint64(size)),
-		data:    make([]byte, size),
-		tracked: true,
+		p:    p,
+		name: name,
+		base: p.AllocAddr(uint64(size)),
+		data: make([]byte, size),
 	}
 	for _, o := range opts {
 		o(b)
 	}
+	cfg := &p.s.cfg
+	b.filtered = b.filtered && !cfg.DisableAliasFilter
+	b.skip = b.filtered && cfg.Method != detector.MustRMAMethod
 	return b
 }
 
@@ -98,27 +108,37 @@ func (b *Buffer) Base() uint64 { return b.base }
 // after the last synchronisation).
 func (b *Buffer) Raw() []byte { return b.data }
 
+// span returns the simulated address interval of [off, off+n), which
+// the caller has checked with inBounds.
 func (b *Buffer) span(off, n int) interval.Interval {
-	if off < 0 || n <= 0 || off+n > len(b.data) {
-		panic(fmt.Sprintf("rma: access [%d,%d) out of bounds of %q (size %d)", off, off+n, b.name, len(b.data)))
-	}
 	return interval.Span(b.base+uint64(off), uint64(n))
 }
 
-// event builds the instrumented-access event for a local load or store.
-func (b *Buffer) event(off, n int, tp access.Type, dbg access.Debug) detector.Event {
-	return detector.Event{
+// instrument runs the instrumentation of one local load or store of n
+// bytes at off, before any byte moves: the bounds check, the rank's
+// program-order tick, and, unless the alias filter removed the buffer,
+// the analysis against every window with an open epoch.
+func (b *Buffer) instrument(off, n int, tp access.Type, dbg access.Debug) error {
+	if err := inBounds(b, off, n); err != nil {
+		return err
+	}
+	p := b.p
+	if b.skip {
+		p.tick()
+		return nil
+	}
+	return p.localAccess(detector.Event{
 		Acc: access.Access{
 			Interval: b.span(off, n),
 			Type:     tp,
-			Rank:     b.p.Rank(),
+			Rank:     p.Rank(),
 			Stack:    b.stack,
 			Debug:    dbg,
-			StackID:  b.p.s.stackID(),
+			StackID:  p.s.stackID(),
 		},
-		Time:     b.p.tick(),
-		Filtered: !b.tracked && !b.p.s.cfg.DisableAliasFilter,
-	}
+		Time:     p.tick(),
+		Filtered: b.filtered,
+	})
 }
 
 // localAccess routes a local access to every window of this rank with
@@ -135,50 +155,62 @@ func (p *Proc) localAccess(ev detector.Event) error {
 	return nil
 }
 
+// lockData and unlockData bracket the owner's data movement on window
+// memory with the window's copy mutex; other buffers need no lock.
+func (b *Buffer) lockData() {
+	if b.winG != nil {
+		b.winG.copyMu.Lock()
+	}
+}
+
+func (b *Buffer) unlockData() {
+	if b.winG != nil {
+		b.winG.copyMu.Unlock()
+	}
+}
+
 // Load performs an instrumented read of n bytes at off and returns
 // them. dbg locates the load in the instrumented program.
 func (b *Buffer) Load(off, n int, dbg access.Debug) ([]byte, error) {
-	if err := b.p.localAccess(b.event(off, n, access.LocalRead, dbg)); err != nil {
+	if err := b.instrument(off, n, access.LocalRead, dbg); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
-	if g := b.winG; g != nil {
-		g.copyMu.Lock()
-		copy(out, b.data[off:off+n])
-		g.copyMu.Unlock()
-	} else {
-		copy(out, b.data[off:off+n])
-	}
+	b.lockData()
+	copy(out, b.data[off:off+n])
+	b.unlockData()
 	return out, nil
 }
 
 // Store performs an instrumented write of val at off.
 func (b *Buffer) Store(off int, val []byte, dbg access.Debug) error {
-	if err := b.p.localAccess(b.event(off, len(val), access.LocalWrite, dbg)); err != nil {
+	if err := b.instrument(off, len(val), access.LocalWrite, dbg); err != nil {
 		return err
 	}
-	if g := b.winG; g != nil {
-		g.copyMu.Lock()
-		copy(b.data[off:], val)
-		g.copyMu.Unlock()
-	} else {
-		copy(b.data[off:], val)
-	}
+	b.lockData()
+	copy(b.data[off:], val)
+	b.unlockData()
 	return nil
 }
 
-// LoadU64 reads an 8-byte little-endian word at off.
+// LoadU64 reads an 8-byte little-endian word at off, in place.
 func (b *Buffer) LoadU64(off int, dbg access.Debug) (uint64, error) {
-	raw, err := b.Load(off, 8, dbg)
-	if err != nil {
+	if err := b.instrument(off, 8, access.LocalRead, dbg); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(raw), nil
+	b.lockData()
+	v := binary.LittleEndian.Uint64(b.data[off:])
+	b.unlockData()
+	return v, nil
 }
 
-// StoreU64 writes an 8-byte little-endian word at off.
+// StoreU64 writes an 8-byte little-endian word at off, in place.
 func (b *Buffer) StoreU64(off int, v uint64, dbg access.Debug) error {
-	var raw [8]byte
-	binary.LittleEndian.PutUint64(raw[:], v)
-	return b.Store(off, raw[:], dbg)
+	if err := b.instrument(off, 8, access.LocalWrite, dbg); err != nil {
+		return err
+	}
+	b.lockData()
+	binary.LittleEndian.PutUint64(b.data[off:], v)
+	b.unlockData()
+	return nil
 }

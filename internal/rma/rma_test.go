@@ -523,22 +523,6 @@ func TestSelfPut(t *testing.T) {
 	}
 }
 
-func TestBufferBoundsPanic(t *testing.T) {
-	err, _ := run(t, 1, detector.Baseline, Config{}, func(p *Proc) error {
-		b := p.Alloc("b", 8)
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-bounds access did not panic")
-			}
-		}()
-		_, _ = b.Load(4, 10, dbg(1))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWinFreeLifecycle(t *testing.T) {
 	err, _ := run(t, 2, detector.OurContribution, Config{}, func(p *Proc) error {
 		w, err := p.WinCreate("w", 64)

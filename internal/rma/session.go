@@ -14,10 +14,10 @@
 //     access counts, wait for the pending notifications, and complete
 //     the epoch.
 //
-// A static alias filter models the LLVM alias analysis: buffers
-// allocated Untracked produce Filtered events that the tree-based
-// analyzers skip and the MUST-RMA simulator (ThreadSanitizer) still
-// pays for.
+// A static alias filter models the LLVM alias analysis: the local
+// accesses of buffers allocated Untracked are not instrumented, except
+// under the MUST-RMA simulator, whose ThreadSanitizer still pays for
+// them as Filtered events.
 //
 // Beyond the paper's passive-target lock_all/unlock_all epochs, the
 // layer implements the full MPI-RMA synchronisation surface: fence
@@ -54,8 +54,9 @@ type Config struct {
 	// calling rank (the §6(2) ablation). Only meaningful for
 	// OurContribution.
 	UnsafeFlushClear bool
-	// DisableAliasFilter feeds Filtered accesses to the tree-based
-	// analyzers too, modelling a build without the LLVM alias analysis.
+	// DisableAliasFilter instruments the local accesses of Untracked
+	// buffers under every method, modelling a build without the LLVM
+	// alias analysis.
 	DisableAliasFilter bool
 	// Store selects the storage backend the contribution analyzer runs
 	// Algorithm 1 over ("avl", "legacy", "shadow", "strided"; package

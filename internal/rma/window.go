@@ -212,10 +212,10 @@ func (w *Win) analyse(rank int, ev detector.Event) error {
 // reaches batchCap; synchronisation calls flush the remainder.
 func (w *Win) notify(target int, ev detector.Event) error {
 	if w.pending[target] == nil {
-		// Batch slices come from the engine's pool and are recycled by
-		// the receiver after analysis, so the steady-state notification
-		// pipeline allocates nothing.
-		w.pending[target] = w.g.eng.GetEventBuf()
+		// Batch slices come from the engines' shared free list, and the
+		// receiver returns each one after analysis, so the steady-state
+		// pipeline allocates none, even across sessions.
+		w.pending[target] = engine.GetEventBuf()
 	}
 	w.pending[target] = append(w.pending[target], ev)
 	w.countSent(target)
@@ -446,7 +446,7 @@ func (w *Win) check(o oneSided) error {
 // of b.
 func inBounds(b *Buffer, off, n int) error {
 	if off < 0 || n <= 0 || off > b.Size()-n {
-		return fmt.Errorf("rma: one-sided region [%d,%d) out of bounds of %q (size %d)", off, off+n, b.Name(), b.Size())
+		return fmt.Errorf("rma: region [%d,%d) out of bounds of %q (size %d)", off, off+n, b.Name(), b.Size())
 	}
 	return nil
 }
