@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -44,7 +45,6 @@ import (
 	"rmarace/internal/detector"
 	"rmarace/internal/fuzz"
 	"rmarace/internal/obs"
-	"rmarace/internal/obs/olog"
 	"rmarace/internal/obs/span"
 	"rmarace/internal/obs/telemetry"
 	"rmarace/internal/rma"
@@ -199,7 +199,9 @@ func replayOne(path string, method detector.Method, storeName string, shards int
 	}
 	var tr *span.Tracer
 	if o.spans != "" {
-		tr = span.NewLogicalTracer(head.Ranks, 0)
+		if tr, err = serve.NewSpanTracer(head.Ranks, 0); err != nil {
+			return err
+		}
 	}
 	start := time.Now()
 	factory, mustShared, err := serve.NewAnalyzerFactory(method, head.Ranks, storeName, shards, obs.OrDisabled(reg))
@@ -656,7 +658,11 @@ func serveCmd(args []string) {
 		Retain:            *retain,
 	}
 	if *logLevel != "" {
-		cfg.Logger = olog.New(os.Stderr, olog.ParseLevel(*logLevel))
+		var level slog.Level
+		if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+			log.Fatalf("serve: -log-level: %v", err)
+		}
+		cfg.Logger = slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	}
 	_, srv, err := serve.Start(*addr, cfg)
 	if err != nil {

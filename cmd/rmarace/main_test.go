@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"rmarace/internal/benchkit"
 )
@@ -53,6 +55,41 @@ func TestStoreFlagRefusedForRMAAnalyzer(t *testing.T) {
 	}
 	if out, err := run("replay", "-store", "strided", path); err != nil {
 		t.Errorf("rmarace replay -store strided: %v, output %q", err, out)
+	}
+}
+
+// TestReplaySpansCapped: `replay -spans` keeps the daemon's span
+// budget, so a two-line trace whose header declares 32,768 ranks exits
+// 1 with the cap message instead of reserving a span ring per rank.
+func TestReplaySpansCapped(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.jsonl")
+	body := `{"kind":"header","ranks":32768,"window":"w"}
+{"kind":"access","owner":0,"rank":1,"lo":0,"hi":7,"type":"rma_write"}
+`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "replay", "-spans", filepath.Join(dir, "out.json"), path)
+	cmd.Env = append(os.Environ(), "RMARACE_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(string(out), "exceed the cap of 1048576 span slots") {
+		t.Fatalf("rmarace replay -spans: %v, output %q; want exit 1 with the span cap message", err, out)
+	}
+}
+
+// TestServeRefusesUnknownLogLevel: `serve -log-level` takes slog's
+// level names, and an unknown one exits 1 before the daemon starts.
+func TestServeRefusesUnknownLogLevel(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "serve", "-addr", "127.0.0.1:0", "-log-level", "verbose")
+	cmd.Env = append(os.Environ(), "RMARACE_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(string(out), `level string "verbose"`) {
+		t.Fatalf("rmarace serve -log-level verbose: %v, output %q; want exit 1 naming the level", err, out)
 	}
 }
 

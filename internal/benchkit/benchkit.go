@@ -206,7 +206,6 @@ func notificationBench(stream []detector.Event, batch int) func(*testing.B) {
 			Ranks:       1,
 			NewAnalyzer: func(int) detector.Analyzer { return core.New() },
 		})
-		e.StartReceiver(0)
 		defer e.Close()
 		b.ResetTimer()
 		var sent int64
@@ -215,7 +214,7 @@ func notificationBench(stream []detector.Event, batch int) func(*testing.B) {
 			for off := 0; off < len(stream) && i < b.N; off += batch {
 				end := min(off+batch, len(stream))
 				evs := append(engine.GetEventBuf(), stream[off:end]...)
-				if err := e.Notify(0, evs); err != nil {
+				if err := e.Notify(0, evs, 0); err != nil {
 					b.Fatal(err)
 				}
 				sent += int64(end - off)

@@ -104,9 +104,6 @@ func NewMustSharedVector(n int) *MustShared {
 	return s
 }
 
-// VectorOnly reports whether the state forces full-vector snapshots.
-func (s *MustShared) VectorOnly() bool { return s.vectorOnly }
-
 // Ranks returns the world size the state was built for.
 func (s *MustShared) Ranks() int { return s.n }
 

@@ -16,16 +16,13 @@
 package engine
 
 import (
-	"context"
 	"errors"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rmarace/internal/detector"
 	"rmarace/internal/obs"
-	"rmarace/internal/obs/olog"
 	"rmarace/internal/obs/span"
 )
 
@@ -91,10 +88,6 @@ type Config struct {
 	// last FlightN analysed accesses and synchronisations; a detected
 	// race carries the owner's snapshot (Race.FlightLog).
 	FlightN int
-	// Log receives the engine's rare structured events (the first
-	// notification-channel overflow of each rank); nil logs nowhere.
-	// Only off-hot-path sites log, and only when the level is enabled.
-	Log *slog.Logger
 }
 
 // Engine is the analysis state machine of one window across all ranks.
@@ -132,20 +125,12 @@ type Engine struct {
 	spans  *span.Tracer
 	spanOn bool
 	flight []*detector.FlightLog
-	// log/logOn: structured logging for rare events (never nil / cached
-	// Enabled, same discipline as rec/recOn).
-	log   *slog.Logger
-	logOn bool
-
-	startMu sync.Mutex
-	started []bool
 
 	closed    chan struct{}
 	closeOnce sync.Once
 }
 
-// New builds an engine; receivers are started per rank with
-// StartReceiver.
+// New builds an engine and starts each rank's receiver.
 func New(cfg Config) *Engine {
 	if cfg.ChannelCap <= 0 {
 		cfg.ChannelCap = DefaultChannelCap
@@ -160,7 +145,6 @@ func New(cfg Config) *Engine {
 		recvCond:  make([]*sync.Cond, cfg.Ranks),
 		epochs:    make([]uint64, cfg.Ranks),
 		overflows: make([]int64, cfg.Ranks),
-		started:   make([]bool, cfg.Ranks),
 		closed:    make(chan struct{}),
 		rec:       obs.OrDisabled(cfg.Recorder),
 		spans:     cfg.Spans,
@@ -168,8 +152,6 @@ func New(cfg Config) *Engine {
 	}
 	e.recOn = e.rec.Enabled()
 	e.spanOn = e.spans.Enabled()
-	e.log = olog.Or(cfg.Log)
-	e.logOn = e.log.Enabled(context.Background(), slog.LevelWarn)
 	for r := 0; r < cfg.Ranks; r++ {
 		if cfg.FlightN > 0 {
 			e.flight[r] = detector.NewFlightLog(cfg.FlightN)
@@ -177,6 +159,7 @@ func New(cfg Config) *Engine {
 		e.analyzers[r] = cfg.NewAnalyzer(r)
 		e.notifCh[r] = make(chan Batch, cfg.ChannelCap)
 		e.recvCond[r] = sync.NewCond(&e.recvMu[r])
+		go e.receive(r)
 	}
 	// Wake every count-waiter when the engine stops; exit when it
 	// closes so finished runs can be collected.
@@ -186,25 +169,9 @@ func New(cfg Config) *Engine {
 		case <-e.closed:
 			return
 		}
-		e.WakeAll()
+		e.wakeAll()
 	}()
 	return e
-}
-
-// Ranks returns the number of ranks the engine serves.
-func (e *Engine) Ranks() int { return len(e.analyzers) }
-
-// StartReceiver starts rank's receiver goroutine. It is idempotent:
-// re-joining a window (MPI_Win_free followed by a create under the
-// same name) must not stack a second receiver on the same channel.
-func (e *Engine) StartReceiver(rank int) {
-	e.startMu.Lock()
-	defer e.startMu.Unlock()
-	if e.started[rank] {
-		return
-	}
-	e.started[rank] = true
-	go e.receive(rank)
 }
 
 // receive drains rank's notification channel until the engine stops or
@@ -223,8 +190,9 @@ func (e *Engine) receive(rank int) {
 }
 
 // process handles one batch: sync markers acknowledge (releasing the
-// origin first when asked); event batches are stamped with the owner's
-// epoch and fed to the analyzer in one serialised call.
+// origin first when asked, and counted as received before the ack);
+// event batches are stamped with the owner's epoch and fed to the
+// analyzer in one serialised call.
 func (e *Engine) process(rank int, b Batch) {
 	if b.Sync {
 		if b.Release {
@@ -235,10 +203,10 @@ func (e *Engine) process(rank int, b Batch) {
 		} else {
 			e.flight[rank].Mark(detector.FlightSync, b.Origin)
 		}
+		e.addReceived(rank, 1)
 		if b.Ack != nil {
 			close(b.Ack)
 		}
-		e.addReceived(rank, 1)
 		return
 	}
 	epoch := atomic.LoadUint64(&e.epochs[rank])
@@ -316,15 +284,10 @@ func (e *Engine) addReceived(rank int, n int64) {
 // batch is handed off: the caller must not reuse the slice. When the
 // channel is full the overflow counter is bumped and the send blocks
 // (backpressure) until the receiver drains, the engine stops, or it
-// closes — a notification is never silently dropped.
-func (e *Engine) Notify(rank int, evs []detector.Event) error {
-	return e.NotifyFlow(rank, evs, 0)
-}
-
-// NotifyFlow is Notify carrying the origin's causal-flow id, so the
-// receiver's notif-batch span closes the edge the origin's notif-send
-// span opened. Flow 0 means no tracing.
-func (e *Engine) NotifyFlow(rank int, evs []detector.Event, flow uint64) error {
+// closes — a notification is never silently dropped. flow is the
+// origin's causal-flow id, so the receiver's notif-batch span closes
+// the edge the origin's notif-send span opened; 0 means no tracing.
+func (e *Engine) Notify(rank int, evs []detector.Event, flow uint64) error {
 	if len(evs) == 0 {
 		return nil
 	}
@@ -350,12 +313,7 @@ func (e *Engine) send(rank int, b Batch) error {
 		return nil
 	default:
 	}
-	if atomic.AddInt64(&e.overflows[rank], 1) == 1 && e.logOn {
-		// First overflow of this rank only: backpressure is worth one
-		// line, not one per blocked send.
-		e.log.Warn("notification channel full, sender blocking",
-			"window", e.cfg.Window, "rank", rank, "cap", cap(e.notifCh[rank]))
-	}
+	atomic.AddInt64(&e.overflows[rank], 1)
 	if e.recOn {
 		e.rec.Add(obs.EngineOverflows, rank, 1)
 		e.rec.SetMax(obs.EngineQueueDepth, rank, int64(cap(e.notifCh[rank])))
@@ -426,9 +384,9 @@ func (e *Engine) Received(rank int) int64 {
 	return e.received[rank]
 }
 
-// WakeAll broadcasts every rank's receive condition, releasing
+// wakeAll broadcasts every rank's receive condition, releasing
 // WaitReceived callers so they can observe a stop.
-func (e *Engine) WakeAll() {
+func (e *Engine) wakeAll() {
 	for r := range e.recvCond {
 		e.recvMu[r].Lock()
 		e.recvCond[r].Broadcast()
@@ -499,7 +457,7 @@ func (e *Engine) TotalOverflows() int64 {
 // against concurrent in-flight sends (no channel is ever closed).
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.closed) })
-	e.WakeAll()
+	e.wakeAll()
 }
 
 // freeBufs is the process-wide free list of notification batch slices.

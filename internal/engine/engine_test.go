@@ -97,9 +97,6 @@ func newTestEngine(t *testing.T, ranks, channelCap int, stubs []*stubAnalyzer, o
 	}
 	e := New(cfg)
 	t.Cleanup(e.Close)
-	for r := 0; r < ranks; r++ {
-		e.StartReceiver(r)
-	}
 	return e
 }
 
@@ -107,10 +104,10 @@ func TestNotifyBatchesAndWaitReceived(t *testing.T) {
 	stub := &stubAnalyzer{}
 	e := newTestEngine(t, 1, 8, []*stubAnalyzer{stub}, nil)
 
-	if err := e.Notify(0, []detector.Event{ev(0, 8, 1), ev(8, 8, 2)}); err != nil {
+	if err := e.Notify(0, []detector.Event{ev(0, 8, 1), ev(8, 8, 2)}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Notify(0, []detector.Event{ev(16, 8, 3)}); err != nil {
+	if err := e.Notify(0, []detector.Event{ev(16, 8, 3)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	within(t, 5*time.Second, "WaitReceived(3)", func() {
@@ -130,7 +127,7 @@ func TestEpochStamping(t *testing.T) {
 	stub := &stubAnalyzer{}
 	e := newTestEngine(t, 1, 8, []*stubAnalyzer{stub}, nil)
 
-	if err := e.Notify(0, []detector.Event{ev(0, 8, 1), ev(8, 8, 2)}); err != nil {
+	if err := e.Notify(0, []detector.Event{ev(0, 8, 1), ev(8, 8, 2)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	within(t, 5*time.Second, "drain epoch 0", func() { _ = e.WaitReceived(0, 2) })
@@ -138,7 +135,7 @@ func TestEpochStamping(t *testing.T) {
 	if got := e.Epoch(0); got != 1 {
 		t.Fatalf("Epoch = %d, want 1", got)
 	}
-	if err := e.Notify(0, []detector.Event{ev(16, 8, 3)}); err != nil {
+	if err := e.Notify(0, []detector.Event{ev(16, 8, 3)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	within(t, 5*time.Second, "drain epoch 1", func() { _ = e.WaitReceived(0, 3) })
@@ -187,7 +184,7 @@ func TestOverflowBackpressure(t *testing.T) {
 	sendErr := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			if err := e.Notify(0, []detector.Event{ev(uint64(i)*8, 8, uint64(i+1))}); err != nil {
+			if err := e.Notify(0, []detector.Event{ev(uint64(i)*8, 8, uint64(i+1))}, 0); err != nil {
 				sendErr <- err
 				return
 			}
@@ -223,28 +220,6 @@ func TestOverflowBackpressure(t *testing.T) {
 	}
 }
 
-// TestStartReceiverIdempotent guards the window-name-reuse path: a
-// second StartReceiver for the same rank must not stack a second
-// goroutine draining the same channel.
-func TestStartReceiverIdempotent(t *testing.T) {
-	gate := make(chan struct{})
-	stub := &stubAnalyzer{gate: gate}
-	e := newTestEngine(t, 1, 8, []*stubAnalyzer{stub}, nil)
-	e.StartReceiver(0) // second start: must be a no-op
-
-	// With a single receiver, the second batch stays queued while the
-	// first is held at the gate.
-	_ = e.Notify(0, []detector.Event{ev(0, 8, 1)})
-	_ = e.Notify(0, []detector.Event{ev(8, 8, 2)})
-	gate <- struct{}{} // admit exactly one Access call
-	within(t, 5*time.Second, "first event", func() { _ = e.WaitReceived(0, 1) })
-	if got := e.Received(0); got != 1 {
-		t.Fatalf("Received = %d, want exactly 1 while the gate is held", got)
-	}
-	gate <- struct{}{}
-	within(t, 5*time.Second, "second event", func() { _ = e.WaitReceived(0, 2) })
-}
-
 func TestRaceReportedThroughCallback(t *testing.T) {
 	stub := &stubAnalyzer{raceAt: 7}
 	var got atomic.Pointer[detector.Race]
@@ -252,7 +227,7 @@ func TestRaceReportedThroughCallback(t *testing.T) {
 		cfg.OnRace = func(r *detector.Race) { got.CompareAndSwap(nil, r) }
 	})
 
-	if err := e.Notify(0, []detector.Event{ev(0, 8, 7)}); err != nil {
+	if err := e.Notify(0, []detector.Event{ev(0, 8, 7)}, 0); err != nil {
 		t.Fatal(err)
 	}
 	within(t, 5*time.Second, "race callback", func() {
@@ -274,13 +249,13 @@ func TestStopUnblocksEverything(t *testing.T) {
 	})
 
 	// Fill the pipeline: one batch at the gate, one in the channel.
-	_ = e.Notify(0, []detector.Event{ev(0, 8, 1)})
-	_ = e.Notify(0, []detector.Event{ev(8, 8, 2)})
+	_ = e.Notify(0, []detector.Event{ev(0, 8, 1)}, 0)
+	_ = e.Notify(0, []detector.Event{ev(8, 8, 2)}, 0)
 
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- e.WaitReceived(0, 10) }()
 	sendRet := make(chan error, 1)
-	go func() { sendRet <- e.Notify(0, []detector.Event{ev(16, 8, 3)}) }()
+	go func() { sendRet <- e.Notify(0, []detector.Event{ev(16, 8, 3)}, 0) }()
 
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
@@ -303,10 +278,10 @@ func TestCloseUnblocksBlockedSender(t *testing.T) {
 	stub := &stubAnalyzer{gate: gate}
 	e := newTestEngine(t, 1, 1, []*stubAnalyzer{stub}, nil)
 
-	_ = e.Notify(0, []detector.Event{ev(0, 8, 1)})
-	_ = e.Notify(0, []detector.Event{ev(8, 8, 2)})
+	_ = e.Notify(0, []detector.Event{ev(0, 8, 1)}, 0)
+	_ = e.Notify(0, []detector.Event{ev(8, 8, 2)}, 0)
 	sendRet := make(chan error, 1)
-	go func() { sendRet <- e.Notify(0, []detector.Event{ev(16, 8, 3)}) }()
+	go func() { sendRet <- e.Notify(0, []detector.Event{ev(16, 8, 3)}, 0) }()
 
 	time.Sleep(10 * time.Millisecond)
 	e.Close()
@@ -326,12 +301,11 @@ func TestCloseUnblocksBlockedSender(t *testing.T) {
 func TestBatchSlicesOutliveTheirEngine(t *testing.T) {
 	stubs := []*stubAnalyzer{{}}
 	first := New(Config{Ranks: 1, NewAnalyzer: func(int) detector.Analyzer { return stubs[0] }})
-	first.StartReceiver(0)
 	evs := append(GetEventBuf(), ev(0, 8, 1), ev(8, 8, 2))
 	evs[0].Acc.Debug = access.Debug{File: "main.c", Line: 3}
 	evs[1].Clock = vc.New(4)
 	slot := &evs[:1][0]
-	if err := first.Notify(0, evs); err != nil {
+	if err := first.Notify(0, evs, 0); err != nil {
 		t.Fatal(err)
 	}
 	within(t, 5*time.Second, "WaitReceived(2)", func() {
@@ -360,7 +334,7 @@ func TestBatchSlicesOutliveTheirEngine(t *testing.T) {
 
 	stub := &stubAnalyzer{}
 	next := newTestEngine(t, 1, 8, []*stubAnalyzer{stub}, nil)
-	if err := next.Notify(0, append(got, ev(16, 8, 3))); err != nil {
+	if err := next.Notify(0, append(got, ev(16, 8, 3)), 0); err != nil {
 		t.Fatal(err)
 	}
 	within(t, 5*time.Second, "WaitReceived(1)", func() {

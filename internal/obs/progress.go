@@ -46,9 +46,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Terminal reports whether the stage is an end state.
-func (s Stage) Terminal() bool { return s == StageDone || s == StageFailed }
-
 // Progress is the lock-free probe a streaming replay publishes through
 // and progress watchers read from. The writer (one replay goroutine)
 // stores plain atomics on a sampled cadence; any number of readers
@@ -154,34 +151,6 @@ func (p *Progress) StageEntryNanos(s Stage) int64 {
 		return 0
 	}
 	return p.stageNanos[s].Load()
-}
-
-// StageNanos returns how long the session spent in stage s: the gap to
-// the next entered stage, or to now for the current stage. 0 when the
-// stage was never entered.
-func (p *Progress) StageNanos(s Stage) int64 {
-	entered := p.StageEntryNanos(s)
-	if entered == 0 {
-		return 0
-	}
-	end := int64(0)
-	for next := s + 1; next < numStages; next++ {
-		if t := p.StageEntryNanos(next); t != 0 {
-			end = t
-			break
-		}
-	}
-	if end == 0 {
-		if Stage(p.stage.Load()).Terminal() {
-			return 0 // terminal stages have no duration
-		}
-		end = p.now()
-	}
-	d := end - entered
-	if d < 0 {
-		return 0
-	}
-	return d
 }
 
 // ProgressSnapshot is one consistent-enough reading of the probe — the

@@ -102,8 +102,9 @@ type Win struct {
 }
 
 // WinCreate collectively creates (or joins) the window named name with
-// size bytes of exposed memory per rank, starts the per-rank receiver
-// goroutine, and synchronises all ranks before returning. Buffer
+// size bytes of exposed memory per rank and synchronises all ranks
+// before returning. The first create of a name builds the window's
+// engine, which starts every rank's receiver goroutine. Buffer
 // options apply to the exposed memory: pass OnStack to model an
 // MPI_Win_create over a stack array (as the paper's microbenchmark
 // suite does), or none for MPI_Win_allocate-style heap memory.
@@ -154,9 +155,6 @@ func (p *Proc) WinCreate(name string, size int, opts ...BufOpt) (*Win, error) {
 	buf := p.Alloc(name+".win", size, opts...)
 	buf.winG = g
 	g.mems[rank] = buf
-	// Idempotent: re-joining the window name (MPI_Win_free followed by
-	// a fresh create) must not stack a second receiver per rank.
-	g.eng.StartReceiver(rank)
 
 	// The engine's drained-notification counter is cumulative over the
 	// window name's whole lifetime, surviving MPI_Win_free and
@@ -236,11 +234,11 @@ func (w *Win) flushNotifs(target int) error {
 	}
 	w.pending[target] = nil // next notify takes a fresh pooled slice
 	if !w.spOn {
-		return w.g.eng.Notify(target, batch)
+		return w.g.eng.Notify(target, batch, 0)
 	}
 	flow := w.sp.NextFlow()
 	t0 := w.sp.Now()
-	err := w.g.eng.NotifyFlow(target, batch, flow)
+	err := w.g.eng.Notify(target, batch, flow)
 	w.sp.Record(w.p.Rank(), span.Record{
 		Kind:  span.KindNotifSend,
 		Start: t0, Dur: w.sp.Now() - t0,

@@ -6,6 +6,7 @@ import (
 	"rmarace/internal/core"
 	"rmarace/internal/detector"
 	"rmarace/internal/obs"
+	"rmarace/internal/obs/span"
 	"rmarace/internal/rma"
 	"rmarace/internal/shard"
 	"rmarace/internal/store"
@@ -18,10 +19,27 @@ import (
 // request; nothing in the project uses more than 8.
 const MaxShards = 64
 
-// MaxSpanSlots caps a ?spans=1 session's span rings: header ranks ×
-// ?spandepth, 64 bytes a slot before each ring rounds up to a power of
-// two. 1<<20 slots is 64 MiB; it admits 256 ranks at the default depth.
+// MaxSpanSlots caps the span rings of a ?spans=1 session or a
+// `rmarace replay -spans`: header ranks × span depth, 56 bytes a slot
+// before each ring rounds up to a power of two. 1<<20 slots is 56 MiB;
+// it admits 256 ranks at DefaultSpanDepth.
 const MaxSpanSlots = 1 << 20
+
+// DefaultSpanDepth is the per-rank span ring depth of a replay that
+// names none.
+const DefaultSpanDepth = 4096
+
+// NewSpanTracer builds a replay's span tracer: ranks rings of depth
+// spans (DefaultSpanDepth when depth <= 0), refused above MaxSpanSlots.
+func NewSpanTracer(ranks, depth int) (*span.Tracer, error) {
+	if depth <= 0 {
+		depth = DefaultSpanDepth
+	}
+	if depth > MaxSpanSlots/max(ranks, 1) {
+		return nil, fmt.Errorf("serve: %d ranks at span depth %d exceed the cap of %d span slots", ranks, depth, MaxSpanSlots)
+	}
+	return span.NewLogicalTracer(ranks, depth), nil
+}
 
 // CheckShards rejects a shard count the sharded analyzer cannot take:
 // one that is not a power of two, or one above MaxShards.

@@ -31,16 +31,16 @@
 //	/metrics /healthz /report /v1/version /debug/pprof  (package telemetry)
 //
 // Observability is session-scoped throughout: Config.Logger receives
-// one JSON log line per lifecycle event (admission reject, queue wait,
-// session start, quota abort, verdict), every line stamped with the
-// tenant and session id via package olog; the events endpoint streams
-// the same session's live progress; the serve_stage_*_nanos histograms
-// cut the same wall time by pipeline stage. One session id correlates
-// all of them.
+// one JSON log line per lifecycle event (admission reject, session
+// start, failure, verdict), and every line inside a session goes
+// through one logger carrying the tenant and session id; the events
+// endpoint streams the same session's live progress; the
+// serve_stage_*_nanos histograms cut the same wall time by pipeline
+// stage. One session id correlates all of them.
 package serve
 
 import (
-	"context"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -55,7 +55,6 @@ import (
 
 	"rmarace/internal/detector"
 	"rmarace/internal/obs"
-	"rmarace/internal/obs/olog"
 	"rmarace/internal/obs/span"
 	"rmarace/internal/obs/telemetry"
 	"rmarace/internal/rma"
@@ -77,7 +76,7 @@ type SessionOpts struct {
 	// Spans opts the session into per-rank span capture (?spans=1);
 	// the timeline is served as Chrome-trace JSON on the session's
 	// /spans endpoint. SpanDepth bounds each rank's span ring
-	// (?spandepth=N, default 4096).
+	// (?spandepth=N, default DefaultSpanDepth).
 	Spans     bool
 	SpanDepth int
 }
@@ -106,9 +105,9 @@ type Config struct {
 	// Registry is the daemon-wide metrics registry behind /metrics;
 	// created when nil.
 	Registry *obs.Registry
-	// Logger receives the daemon's structured log events (JSON lines;
-	// build with olog.New). Nil discards everything — the default, so
-	// an unconfigured daemon pays one branch per would-be line.
+	// Logger receives the daemon's structured log events (rmarace serve
+	// writes JSON lines). Nil discards everything — the default, so an
+	// unconfigured daemon pays one branch per would-be line.
 	Logger *slog.Logger
 	// RetryAfter is the backoff hint a 429 admission reject carries in
 	// its Retry-After header (rounded up to whole seconds). Default 1s.
@@ -166,6 +165,12 @@ type Daemon struct {
 	seq      uint64
 }
 
+// discardLog is the logger of a daemon configured without one: it
+// writes nowhere and every level is disabled, so a call site pays one
+// branch. (slog.DiscardHandler needs Go 1.24; the module declares
+// go 1.22.)
+var discardLog = slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
+
 // tenantState is one tenant's interned metric label and admission
 // bookkeeping.
 type tenantState struct {
@@ -179,7 +184,7 @@ func NewDaemon(cfg Config) *Daemon {
 	d := &Daemon{
 		cfg:      cfg,
 		reg:      cfg.Registry,
-		log:      olog.Or(cfg.Logger),
+		log:      cmp.Or(cfg.Logger, discardLog),
 		slots:    make(chan struct{}, cfg.Workers),
 		tenants:  make(map[string]*tenantState),
 		sessions: make(map[string]*Session),
@@ -391,7 +396,6 @@ func retryAfterSeconds(d time.Duration) string {
 // one streaming replay over the request body.
 func (d *Daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
-	ctx := olog.WithSession(r.Context(), tenant, "")
 	opts, err := parseOpts(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -399,7 +403,7 @@ func (d *Daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	ts, reason, ok := d.admit(tenant)
 	if !ok {
-		d.log.WarnContext(ctx, "admission rejected", "status", http.StatusTooManyRequests, "reason", reason)
+		d.log.Warn("admission rejected", "tenant", tenant, "status", http.StatusTooManyRequests, "reason", reason)
 		w.Header().Set("Retry-After", retryAfterSeconds(d.cfg.RetryAfter))
 		httpError(w, http.StatusTooManyRequests, reason)
 		return
@@ -411,8 +415,8 @@ func (d *Daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// events stream shows stage "queued" while it waits).
 	s := newSession(tenant, opts)
 	d.register(s)
-	ctx = olog.WithSession(ctx, "", s.ID)
-	d.log.InfoContext(ctx, "session admitted", "method", opts.Method.String())
+	log := d.log.With("tenant", tenant, "session", s.ID)
+	log.Info("session admitted", "method", opts.Method.String())
 
 	// The pool semaphore is the backpressure stage: admitted sessions
 	// queue here while Workers replays are already running.
@@ -424,9 +428,9 @@ func (d *Daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		d.reg.Add(obs.ServeQueueWaitNanos, ts.id, wait.Nanoseconds())
 	}
 
-	status, verdict := d.runSession(ctx, s, ts, r.Body, wait)
+	status, verdict := d.runSession(log, s, ts, r.Body, wait)
 	d.retire(s)
-	d.log.InfoContext(ctx, "session finished",
+	log.Info("session finished",
 		"state", verdict.State, "status", status, "events", verdict.Events,
 		"epochs", verdict.Epochs, "race", verdict.Race != nil,
 		"elapsed_ns", verdict.ElapsedNs)
@@ -436,12 +440,13 @@ func (d *Daemon) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 // runSession streams one trace body through the shared replay loop and
 // returns the HTTP status plus the verdict document. The session is
-// updated in place. queueWait is how long the session sat on the
-// worker-pool semaphore (the queue stage of the latency accounting).
-func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, body io.Reader, queueWait time.Duration) (int, *Verdict) {
+// updated in place and logs through log, which carries its identity.
+// queueWait is how long the session sat on the worker-pool semaphore
+// (the queue stage of the latency accounting).
+func (d *Daemon) runSession(log *slog.Logger, s *Session, ts *tenantState, body io.Reader, queueWait time.Duration) (int, *Verdict) {
 	fail := func(status int, err error) (int, *Verdict) {
 		s.fail(err)
-		d.log.WarnContext(ctx, "session failed", "status", status, "error", err.Error())
+		log.Warn("session failed", "status", status, "error", err.Error())
 		return status, s.Verdict()
 	}
 	lim := &limitedBody{r: body, remaining: d.cfg.MaxSessionBytes, unlimited: d.cfg.MaxSessionBytes <= 0}
@@ -473,14 +478,9 @@ func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, bo
 
 	var spans *span.Tracer
 	if s.Opts.Spans {
-		depth := s.Opts.SpanDepth
-		if depth <= 0 {
-			depth = 4096
+		if spans, err = NewSpanTracer(head.Ranks, s.Opts.SpanDepth); err != nil {
+			return fail(http.StatusBadRequest, err)
 		}
-		if depth > MaxSpanSlots/max(head.Ranks, 1) {
-			return fail(http.StatusBadRequest, fmt.Errorf("serve: %d ranks at span depth %d exceed the cap of %d span slots", head.Ranks, depth, MaxSpanSlots))
-		}
-		spans = span.NewLogicalTracer(head.Ranks, depth)
 		s.setSpans(spans)
 	}
 
@@ -500,9 +500,7 @@ func (d *Daemon) runSession(ctx context.Context, s *Session, ts *tenantState, bo
 			// so a scrape sees aggregate traffic live.
 			Recorder: teeRecorder{sreg, d.reg},
 			Progress: s.prog,
-			// The replay loop logs without a context; bind the session's
-			// correlation attributes onto the logger itself.
-			Log: olog.Bind(ctx, d.log),
+			Log:      log,
 		})
 	drainedAt := time.Now()
 	if ingest := s.prog.StageEntryNanos(obs.StageDraining) - s.prog.StageEntryNanos(obs.StageIngesting); ingest > 0 {

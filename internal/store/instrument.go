@@ -57,9 +57,6 @@ func Instrument(s AccessStore, rec obs.Recorder, label int) AccessStore {
 	return w
 }
 
-// Unwrap returns the decorated backend.
-func (s *Instrumented) Unwrap() AccessStore { return s.inner }
-
 // Name implements AccessStore, forwarding the backend's name.
 func (s *Instrumented) Name() string { return s.inner.Name() }
 

@@ -30,9 +30,6 @@ func NewShadowOwner(owner int) *Shadow {
 // Name implements AccessStore.
 func (*Shadow) Name() string { return "shadow" }
 
-// Mem exposes the underlying shadow memory for clock-carrying analysis.
-func (s *Shadow) Mem() *shadow.Memory { return s.mem }
-
 // Record registers an access with full clock information and returns
 // the first conflict, the MUST-RMA analysis path.
 func (s *Shadow) Record(a access.Access, e shadow.Entry) *shadow.Conflict {

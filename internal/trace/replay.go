@@ -10,7 +10,6 @@ import (
 	"rmarace/internal/detector"
 	"rmarace/internal/interval"
 	"rmarace/internal/obs"
-	"rmarace/internal/obs/olog"
 	"rmarace/internal/obs/span"
 )
 
@@ -75,10 +74,10 @@ type ReplayOpts struct {
 	// a handful of atomic stores every progressEvery records, so an
 	// unwatched replay pays one nil check per record.
 	Progress *obs.Progress
-	// Log, when non-nil, receives the replay's structured log events:
-	// eviction and compaction at Debug, the stage transition and final
-	// summary at Debug. Callers wanting session correlation bind their
-	// context attributes first (olog.Bind); nil discards.
+	// Log, when non-nil, receives the replay's structured log events,
+	// all at Debug: a race stop, eviction and compaction, and the final
+	// summary. Callers wanting session correlation pass a logger that
+	// carries it (slog.Logger.With); nil logs nothing.
 	Log *slog.Logger
 }
 
@@ -164,10 +163,10 @@ func ReplayStream(src Source, newAnalyzer func(owner int) detector.Analyzer, opt
 	rec := obs.OrDisabled(opts.Recorder)
 	recOn := rec.Enabled()
 	prog := opts.Progress
-	log := olog.Or(opts.Log)
+	log := opts.Log
 	// The debug-enabled check is hoisted: the loop below must pay one
 	// cached bool per rare event, not a handler call per record.
-	logOn := log.Enabled(context.Background(), slog.LevelDebug)
+	logOn := log != nil && log.Enabled(context.Background(), slog.LevelDebug)
 	prog.SetStage(obs.StageIngesting)
 	// owners is indexed by owner; an evicted owner's slot is nil.
 	var owners []*ownerState
