@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"testing"
 
 	"rmarace/internal/access"
@@ -173,5 +174,56 @@ func TestReplaySpansExport(t *testing.T) {
 	}
 	if accessSpans == 0 || epochSpans != 2 {
 		t.Fatalf("got %d access spans and %d epoch spans, want >0 and 2", accessSpans, epochSpans)
+	}
+}
+
+// TestReplayLogCarriesCallerAttrs: the replay loop logs through the
+// logger it is given, so attributes the caller bound with
+// slog.Logger.With ride on its lines (the daemon binds tenant and
+// session this way); a logger above Debug gets no line.
+func TestReplayLogCarriesCallerAttrs(t *testing.T) {
+	replay := func(level slog.Level, safe bool) *bytes.Buffer {
+		var src, logs bytes.Buffer
+		if _, err := Generate(&src, GenConfig{Ranks: 2, Events: 50, Epochs: 2, Adjacency: 0.5, SafeOnly: true, PlantRace: !safe, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(&src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := slog.New(slog.NewJSONHandler(&logs, &slog.HandlerOptions{Level: level})).With("tenant", "acme", "session", "s-000007")
+		if _, err := ReplayStream(r, func(int) detector.Analyzer { return core.New() }, ReplayOpts{Log: log}); err != nil {
+			t.Fatal(err)
+		}
+		return &logs
+	}
+
+	for _, tc := range []struct {
+		safe bool
+		msg  string
+	}{{false, "race detected"}, {true, "replay drained"}} {
+		logs := replay(slog.LevelDebug, tc.safe)
+		var lines []map[string]any
+		dec := json.NewDecoder(bytes.NewReader(logs.Bytes()))
+		for dec.More() {
+			var m map[string]any
+			if err := dec.Decode(&m); err != nil {
+				t.Fatalf("log line is not JSON: %v\n%s", err, logs.String())
+			}
+			lines = append(lines, m)
+		}
+		found := false
+		for _, ln := range lines {
+			if ln["tenant"] != "acme" || ln["session"] != "s-000007" || ln["level"] != "DEBUG" {
+				t.Errorf("replay line = %v, want a DEBUG line of tenant acme, session s-000007", ln)
+			}
+			found = found || ln["msg"] == tc.msg
+		}
+		if !found {
+			t.Errorf("no %q line in the log:\n%s", tc.msg, logs.String())
+		}
+	}
+	if logs := replay(slog.LevelInfo, false); logs.Len() != 0 {
+		t.Errorf("an Info-level logger got replay lines:\n%s", logs.String())
 	}
 }
